@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cohersql                                       # REPL on stdin
-//	cohersql -q "SELECT COUNT(*) FROM D"           # one-shot query
+//	cohersql -q "SELECT COUNT(*) FROM D"           # one-shot query; exits 1 if it fails
 //	cohersql -q "EXPLAIN SELECT ..."               # show the query plan without executing
 //	cohersql -q "EXPLAIN ANALYZE SELECT ..."       # run it and show per-operator rows/time/morsels
 //	echo "SELECT DISTINCT inmsg FROM D" | cohersql
@@ -69,11 +69,16 @@ func main() {
 		p.DB.SetMorselSize(*morsel)
 	}
 	fmt.Fprintf(os.Stderr, "tables: %s\n", strings.Join(p.DB.Names(), ", "))
+	// A failed -q statement exits 1, once the diagnostics are flushed.
+	failed := false
 	defer func() {
 		if diag.Registry != nil {
 			publishDBStats(diag.Registry, p)
 		}
 		diag.Close()
+		if failed {
+			os.Exit(1)
+		}
 	}()
 
 	if *serveAddr != "" || *serveHTTP != "" {
@@ -81,21 +86,22 @@ func main() {
 		return
 	}
 
-	exec := func(stmt string) {
+	exec := func(stmt string) bool {
 		res, err := p.DB.Exec(stmt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return
+			return false
 		}
 		if res.Table != nil {
 			fmt.Print(res.Table.String())
 		} else {
 			fmt.Printf("ok (%d rows affected)\n", res.Affected)
 		}
+		return true
 	}
 
 	if *query != "" {
-		exec(*query)
+		failed = !exec(*query)
 		return
 	}
 

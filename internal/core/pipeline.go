@@ -104,9 +104,9 @@ func New() *Pipeline {
 }
 
 // SetWorkers bounds parallelism across the pipeline: phase-level fan-out
-// (solver goals, invariant queries, composition jobs) and the database's
-// within-query morsel parallelism share the same bound. 0 means the
-// shared pool's full size.
+// (solver goals, invariant queries) and within-query morsel parallelism,
+// in the pipeline's database and in the deadlock analysis's, share the
+// same bound. 0 means the shared pool's full size.
 func (p *Pipeline) SetWorkers(n int) {
 	p.Workers = n
 	p.DB.SetWorkers(n)
@@ -195,8 +195,9 @@ func (p *Pipeline) CheckInvariants(workers int) error {
 }
 
 // CheckDeadlocks analyzes the channel-assignment sequence; the last
-// assignment must be cycle free. workers bounds composition parallelism
-// (0 means the analyzer's default).
+// assignment must be cycle free. workers bounds the analysis statements'
+// morsel parallelism (0 means the shared pool's full size). The analysis
+// runs in databases of its own: p.DB gains no V or dependency tables.
 func (p *Pipeline) CheckDeadlocks(order []string, workers int) error {
 	defer p.phase("deadlock")()
 	if len(order) == 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -104,6 +105,25 @@ func TestWriteTables(t *testing.T) {
 	eq, err := got.EqualRows(d)
 	if err != nil || !eq {
 		t.Fatalf("CSV round trip: eq=%v err=%v", eq, err)
+	}
+}
+
+// TestDBHoldsOnlyGeneratedTables pins the pipeline database's catalog:
+// the deadlock analysis runs in databases of its own, so after a full run
+// the pipeline's database holds the eight controller tables, ED and the
+// nine implementation tables, and no V or dependency table.
+func TestDBHoldsOnlyGeneratedTables(t *testing.T) {
+	p := fullRun(t)
+	want := []string{"ED"}
+	for _, sb := range protocol.SpecBuilders() {
+		want = append(want, sb.Name)
+	}
+	for _, tab := range p.Report.Mapping.Tables {
+		want = append(want, tab.Name())
+	}
+	sort.Strings(want)
+	if got := p.DB.Names(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("pipeline tables = %v, want %v", got, want)
 	}
 }
 

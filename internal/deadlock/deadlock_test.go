@@ -109,21 +109,7 @@ func TestPlacements(t *testing.T) {
 }
 
 func TestControllerDepsOnDirectory(t *testing.T) {
-	tables := controllerTables(t)
-	v, err := NewAssignment(assignment(t, protocol.AssignVC4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d *rel.Table
-	for _, tab := range tables {
-		if tab.Name() == protocol.DirectoryTable {
-			d = tab
-		}
-	}
-	rows, err := ControllerDeps(d, v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := controllerDeps(t, protocol.AssignVC4, protocol.DirectoryTable)
 	if len(rows) == 0 {
 		t.Fatal("no dependencies from D")
 	}
@@ -142,21 +128,7 @@ func TestControllerDepsOnDirectory(t *testing.T) {
 }
 
 func TestControllerDepsOnMemory(t *testing.T) {
-	tables := controllerTables(t)
-	v, err := NewAssignment(assignment(t, protocol.AssignVC4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m *rel.Table
-	for _, tab := range tables {
-		if tab.Name() == protocol.MemoryTable {
-			m = tab
-		}
-	}
-	rows, err := ControllerDeps(m, v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := controllerDeps(t, protocol.AssignVC4, protocol.MemoryTable)
 	// §4.2 R1: (wb, home, home, VC4) -> (compl, home, home, VC2).
 	found := false
 	for _, r := range rows {
@@ -170,15 +142,16 @@ func TestControllerDepsOnMemory(t *testing.T) {
 	}
 }
 
-// TestFigure4Composition reproduces the §4.2 derivation literally: R2 is
-// modified under placement L≠H=R to R2', R1 composed with R2' (ignoring
-// messages) yields R3 = (wb, home, home, VC4, mread, home, home, VC4) — a
-// VC4 self-cycle — and the symmetric composition yields the VC2 cycle.
+// TestFigure4Composition reproduces the §4.2 derivation literally, through
+// the analysis statements: R2 is modified under placement L≠H=R to R2',
+// R1 composed with R2' (ignoring messages) yields R3 = (wb, home, home,
+// VC4, mread, home, home, VC4) — a VC4 self-cycle — and the symmetric
+// composition yields the VC2 cycle.
 func TestFigure4Composition(t *testing.T) {
 	r1 := DepRow{
 		In:     VAssign{M: "wb", S: "home", D: "home", VC: "VC4"},
 		Out:    VAssign{M: "compl", S: "home", D: "home", VC: "VC2"},
-		Origin: "M",
+		Origin: "M@L!=H=R",
 	}
 	r2 := DepRow{
 		In:     VAssign{M: "idone", S: "remote", D: "home", VC: "VC2"},
@@ -191,16 +164,17 @@ func TestFigure4Composition(t *testing.T) {
 			lhr = p
 		}
 	}
-	r2p := applyPlacement(r2, lhr)
-	if r2p.In.S != "home" {
-		t.Fatalf("R2' input source = %s, want home", r2p.In.S)
+	placed := placeRows(t, []DepRow{r2}, lhr)
+	if len(placed) != 1 || placed[0].In.S != "home" || placed[0].Origin != "D@L!=H=R" {
+		t.Fatalf("R2' = %v, want input source home, origin D@L!=H=R", placed)
 	}
+	r2p := placed[0]
 	// Exact composition must NOT find it (compl != idone).
-	if got := Compose([]DepRow{r1}, []DepRow{r2p}, false); len(got) != 0 {
+	if got := composeRows(t, []DepRow{r1}, []DepRow{r2p}, false); len(got) != 0 {
 		t.Fatalf("exact composition found %d rows, want 0", len(got))
 	}
 	// Relaxed composition yields R3.
-	got := Compose([]DepRow{r1}, []DepRow{r2p}, true)
+	got := composeRows(t, []DepRow{r1}, []DepRow{r2p}, true)
 	if len(got) != 1 {
 		t.Fatalf("relaxed composition rows = %d, want 1", len(got))
 	}
@@ -208,8 +182,11 @@ func TestFigure4Composition(t *testing.T) {
 	if r3.In.VC != "VC4" || r3.Out.VC != "VC4" || r3.In.M != "wb" || r3.Out.M != "mread" {
 		t.Fatalf("R3 = %s, want (wb,home,home,VC4)->(mread,home,home,VC4)", r3)
 	}
+	if r3.Origin != "M@L!=H=R*D@L!=H=R" {
+		t.Fatalf("R3 origin = %q", r3.Origin)
+	}
 	// Symmetric composition yields the VC2 cycle.
-	sym := Compose([]DepRow{r2p}, []DepRow{r1}, true)
+	sym := composeRows(t, []DepRow{r2p}, []DepRow{r1}, true)
 	if len(sym) != 1 || sym[0].In.VC != "VC2" || sym[0].Out.VC != "VC2" {
 		t.Fatalf("symmetric composition = %v", sym)
 	}

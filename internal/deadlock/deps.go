@@ -22,8 +22,9 @@ func (a VAssign) String() string {
 // channel — the input channel depends on the output channel (§4.1).
 type DepRow struct {
 	In, Out VAssign
-	// Origin records provenance: "D", "M", ... for controller rows;
-	// "T1*T2@placement" for composed rows.
+	// Origin records provenance: the controller and placement of a row,
+	// as in "D@L!=H=R", and "A*B" for a row composed from rows A and B,
+	// as in "D@L!=H=R*M@L!=H=R".
 	Origin string
 }
 
@@ -74,111 +75,4 @@ func msgGroups(t *rel.Table) (in string, outs []string, err error) {
 		return "", nil, fmt.Errorf("%w: table %q has no output message groups", ErrBadController, t.Name())
 	}
 	return in, outs, nil
-}
-
-// ControllerDeps builds the individual controller dependency table of one
-// controller (§4.1): for every row and every non-NULL outgoing message, if
-// both the incoming and outgoing (message, source, destination) triples are
-// assigned channels in V, a dependency row is produced. One entry is added
-// per outgoing message.
-func ControllerDeps(t *rel.Table, v *Assignment) ([]DepRow, error) {
-	in, outs, err := msgGroups(t)
-	if err != nil {
-		return nil, err
-	}
-	var rows []DepRow
-	for i := 0; i < t.NumRows(); i++ {
-		im := t.Get(i, in)
-		if im.IsNull() {
-			continue
-		}
-		inA := VAssign{M: im.Str(), S: t.Get(i, in+"src").Str(), D: t.Get(i, in+"dest").Str()}
-		inA.VC = v.Channel(inA.M, inA.S, inA.D)
-		if inA.VC == "" {
-			continue // input not on a tracked channel
-		}
-		for _, g := range outs {
-			om := t.Get(i, g)
-			if om.IsNull() {
-				continue
-			}
-			outA := VAssign{M: om.Str(), S: t.Get(i, g+"src").Str(), D: t.Get(i, g+"dest").Str()}
-			outA.VC = v.Channel(outA.M, outA.S, outA.D)
-			if outA.VC == "" {
-				continue // output over a dedicated/internal path
-			}
-			rows = append(rows, DepRow{In: inA, Out: outA, Origin: t.Name()})
-		}
-	}
-	return rows, nil
-}
-
-// applyPlacement substitutes quad-placement role identifications in a
-// dependency row. Channels are kept: co-located roles share the physical
-// link, which is exactly what makes the dependency arise (§4.1).
-func applyPlacement(r DepRow, p Placement) DepRow {
-	r.In.S, r.In.D = p.Apply(r.In.S), p.Apply(r.In.D)
-	r.Out.S, r.Out.D = p.Apply(r.Out.S), p.Apply(r.Out.D)
-	if p.Name != "L!=H!=R" {
-		r.Origin = r.Origin + "@" + p.Name
-	}
-	return r
-}
-
-// composeKeyExact keys an assignment on (m, s, d, v) for the exact
-// composition requirement.
-func composeKeyExact(a VAssign) string {
-	return a.M + "\x1f" + a.S + "\x1f" + a.D + "\x1f" + a.VC
-}
-
-// composeKeyRelaxed keys an assignment on (s, d, v), ignoring the message —
-// the §4.1 relaxation that captures transaction interleavings: two
-// different transactions' messages meeting on the same channel between the
-// same endpoints.
-func composeKeyRelaxed(a VAssign) string {
-	return a.S + "\x1f" + a.D + "\x1f" + a.VC
-}
-
-// Compose builds the pairwise dependency table of t1 and t2 (§4.1): for
-// rows R=(R1,R2) in t1 and S=(S3,S4) in t2, if R2 matches S3 the row
-// (R1,S4) is added; by symmetry S composed with R adds (S3,R2) when S4
-// matches R1. With relaxed true the match ignores messages.
-func Compose(t1, t2 []DepRow, relaxed bool) []DepRow {
-	key := composeKeyExact
-	if relaxed {
-		key = composeKeyRelaxed
-	}
-	// Index t2 rows by input key.
-	byIn := make(map[string][]int, len(t2))
-	for j, s := range t2 {
-		byIn[key(s.In)] = append(byIn[key(s.In)], j)
-	}
-	var out []DepRow
-	for _, r := range t1 {
-		for _, j := range byIn[key(r.Out)] {
-			s := t2[j]
-			out = append(out, DepRow{
-				In:     r.In,
-				Out:    s.Out,
-				Origin: r.Origin + "*" + s.Origin,
-			})
-		}
-	}
-	return out
-}
-
-// dedupe removes duplicate dependency rows (same assignments, any origin),
-// keeping the first occurrence.
-func dedupe(rows []DepRow) []DepRow {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0:0]
-	for _, r := range rows {
-		k := composeKeyExact(r.In) + "\x1e" + composeKeyExact(r.Out)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, r)
-	}
-	return out
 }

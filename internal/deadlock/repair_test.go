@@ -1,10 +1,64 @@
 package deadlock
 
 import (
+	"strings"
 	"testing"
 
 	"coherdb/internal/protocol"
 )
+
+// repairGoldens are the action lists the Go composition implementation
+// produced; the SQL analysis yields the same protocol rows, so Repair
+// must take the same steps.
+var repairGoldens = map[string][]string{
+	protocol.AssignInitial: {
+		"move (retry, home, home) to VCR1 [23 cycles]",
+		"move (compl, home, home) to VCR2 [23 cycles]",
+		"move (sinv, home, home) to VCR3 [45 cycles]",
+		"move (sinv, home, remote) to VCR4 [45 cycles]",
+		"move (intr, home, home) to VCR5 [98 cycles]",
+		"move (intr, home, remote) to VCR6 [98 cycles]",
+		"move (sflush, home, home) to VCR7 [189 cycles]",
+		"move (sflush, home, remote) to VCR8 [189 cycles]",
+		"move (sread, home, home) to VCR9 [330 cycles]",
+		"move (sread, home, remote) to VCR10 [330 cycles]",
+		"move (mread, home, home) to VCR11 [330 cycles]",
+		"move (mwrite, home, home) to VCR12 [1098 cycles]",
+		"move (compl, local, home) to VCR13 [533 cycles]",
+		"move (mdata, home, home) to VCR14 [9 cycles]",
+		"move (mdone, home, home) to VCR15 [4 cycles]",
+		"move (mrmw, home, home) to VCR16 [1 cycles]",
+		"move (mwrpart, home, home) to VCR17 [1 cycles]",
+		"move (wb, home, home) to VCR18 [1 cycles]",
+	},
+	protocol.AssignVC4: {
+		"move (mread, home, home) to VCR1 [8 cycles]",
+		"move (mwrite, home, home) to VCR2 [24 cycles]",
+		"move (compl, local, home) to VCR3 [24 cycles]",
+		"move (retry, home, home) to VCR4 [8 cycles]",
+		"move (mdata, home, home) to VCR5 [8 cycles]",
+		"move (mdone, home, home) to VCR6 [3 cycles]",
+	},
+	protocol.AssignFixed: nil,
+}
+
+func TestRepairMatchesGoldens(t *testing.T) {
+	tables := controllerTables(t)
+	for _, name := range protocol.AssignmentNames() {
+		res, err := Repair(tables, assignment(t, name), DefaultOptions(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, a := range res.Actions {
+			got = append(got, a.String())
+		}
+		if !res.Converged || strings.Join(got, "\n") != strings.Join(repairGoldens[name], "\n") {
+			t.Fatalf("%s: converged=%v actions:\n%s\nwant:\n%s", name, res.Converged,
+				strings.Join(got, "\n"), strings.Join(repairGoldens[name], "\n"))
+		}
+	}
+}
 
 func TestRepairConvergesFromVC4(t *testing.T) {
 	// The automated §4.2 loop must fix the assignment that defeated the

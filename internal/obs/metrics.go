@@ -70,10 +70,14 @@ var DurationBuckets = []float64{
 // exposition tolerates that, and the series converge once observers
 // quiesce.
 type Histogram struct {
-	bounds  []float64       // sorted upper bounds, immutable after creation
-	counts  []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // math.Float64bits of the running sum
+	bounds []float64       // sorted upper bounds, immutable after creation
+	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
+	count  atomic.Uint64
+	// sum is the running sum in units of 1e-9 (nanoseconds for duration
+	// samples): integer addition makes it exact and the same in any
+	// observation order, so concurrent and serial observers render the
+	// same exposition.
+	sum atomic.Int64
 }
 
 // Observe records one sample.
@@ -81,13 +85,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		upd := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, upd) {
-			return
-		}
-	}
+	h.sum.Add(int64(math.Round(v * 1e9)))
 }
 
 // ObserveDuration records a duration sample in seconds.
@@ -97,7 +95,7 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) / 1e9 }
 
 // snapshot copies the bucket counters for rendering.
 func (h *Histogram) snapshot() (counts []uint64, count uint64, sum float64) {

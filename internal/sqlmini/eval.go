@@ -351,43 +351,47 @@ func Columns(e Expr) map[string]struct{} {
 }
 
 func collectCols(e Expr, out map[string]struct{}) {
+	eachCol(e, func(c Col) { out[c.Name] = struct{}{} })
+}
+
+// eachCol calls fn for every column reference in e.
+func eachCol(e Expr, fn func(Col)) {
 	switch x := e.(type) {
-	case Lit:
 	case Col:
-		out[x.Name] = struct{}{}
+		fn(x)
 	case boundCol:
-		out[x.Name] = struct{}{}
+		fn(x.Col)
 	case Unary:
-		collectCols(x.X, out)
+		eachCol(x.X, fn)
 	case Binary:
-		collectCols(x.L, out)
-		collectCols(x.R, out)
+		eachCol(x.L, fn)
+		eachCol(x.R, fn)
 	case InList:
-		collectCols(x.X, out)
+		eachCol(x.X, fn)
 		for _, s := range x.Set {
-			collectCols(s, out)
+			eachCol(s, fn)
 		}
 	case IsNull:
-		collectCols(x.X, out)
+		eachCol(x.X, fn)
 	case Between:
-		collectCols(x.X, out)
-		collectCols(x.Lo, out)
-		collectCols(x.Hi, out)
+		eachCol(x.X, fn)
+		eachCol(x.Lo, fn)
+		eachCol(x.Hi, fn)
 	case Ternary:
-		collectCols(x.Cond, out)
-		collectCols(x.Then, out)
-		collectCols(x.Else, out)
+		eachCol(x.Cond, fn)
+		eachCol(x.Then, fn)
+		eachCol(x.Else, fn)
 	case Case:
 		for _, w := range x.Whens {
-			collectCols(w.Cond, out)
-			collectCols(w.Val, out)
+			eachCol(w.Cond, fn)
+			eachCol(w.Val, fn)
 		}
 		if x.Else != nil {
-			collectCols(x.Else, out)
+			eachCol(x.Else, fn)
 		}
 	case Call:
 		for _, a := range x.Args {
-			collectCols(a, out)
+			eachCol(a, fn)
 		}
 	}
 }

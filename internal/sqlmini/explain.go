@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"coherdb/internal/rel"
@@ -300,6 +301,9 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			names:   append(append([]string(nil), cum.names...), sc.fr.names...),
 		}
 	}
+	if err := checkCols(s, cum); err != nil {
+		return 0, err
+	}
 	if plan != nil && plan.residue != nil {
 		cs, progs := plan.residueConjuncts()
 		detail := andString(cs)
@@ -342,4 +346,41 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 		}
 	}
 	return est, nil
+}
+
+// checkCols rejects a branch whose expressions name a column its sources
+// f (nil for a FROM-less SELECT) do not resolve, with the error executing
+// it raises. ORDER BY may also name an output column.
+func checkCols(s *SelectStmt, f *frame) error {
+	if f == nil {
+		f = &frame{}
+	}
+	outputs, _, _ := projection(s.Items, f)
+	var err error
+	check := func(e Expr, orderBy bool) {
+		eachCol(e, func(c Col) {
+			if err != nil || f.resolve(c.Qualifier, c.Name) >= 0 ||
+				(orderBy && c.Qualifier == "" && slices.Contains(outputs, c.Name)) {
+				return
+			}
+			err = fmt.Errorf("%w: %s", ErrUnknownColumn, c.String())
+		})
+	}
+	for _, it := range s.Items {
+		if it.Expr != nil {
+			check(it.Expr, false)
+		}
+	}
+	for _, j := range s.Joins {
+		check(j.On, false)
+	}
+	check(s.Where, false)
+	for _, g := range s.GroupBy {
+		check(g, false)
+	}
+	check(s.Having, false)
+	for _, k := range s.OrderBy {
+		check(k.Expr, true)
+	}
+	return err
 }

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -172,5 +173,35 @@ func TestExplainUnknownTable(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.Exec(`EXPLAIN SELECT * FROM nope`); err == nil {
 		t.Fatal("want error for unknown table")
+	}
+}
+
+// TestExplainUnknownColumn checks that EXPLAIN rejects exactly the
+// statements whose execution fails on an unknown column, with the same
+// error.
+func TestExplainUnknownColumn(t *testing.T) {
+	db := newTestDB(t)
+	for _, q := range []string{
+		`SELECT * FROM D WHERE bogus = 'x'`,
+		`SELECT bogus FROM D`,
+		`SELECT D.bogus FROM D`,
+		`SELECT Z.inmsg FROM D`,
+		`SELECT D.inmsg FROM D JOIN V ON D.inmsg = V.bogus`,
+		`SELECT dirst, COUNT(*) FROM D GROUP BY bogus`,
+		`SELECT inmsg FROM D ORDER BY bogus`,
+		`SELECT inmsg FROM D UNION SELECT bogus FROM V`,
+		`SELECT inmsg FROM D WHERE dirst = 'SI'`,
+		`SELECT inmsg AS msg FROM D ORDER BY msg`,
+		`SELECT D.inmsg, V.m, V.m FROM D JOIN V ON D.inmsg = V.m ORDER BY m_1`,
+		`SELECT inmsg FROM D ORDER BY m_1`,
+		`SELECT dirst, COUNT(*) FROM D GROUP BY dirst HAVING COUNT(*) > 1`,
+		`SELECT D.inmsg, v FROM D JOIN V ON D.inmsg = V.m WHERE V.d = 'home'`,
+	} {
+		_, runErr := db.Exec(q)
+		_, explainErr := db.Exec("EXPLAIN " + q)
+		if errors.Is(runErr, ErrUnknownColumn) != errors.Is(explainErr, ErrUnknownColumn) ||
+			fmt.Sprint(runErr) != fmt.Sprint(explainErr) {
+			t.Errorf("%s:\n  run error:     %v\n  explain error: %v", q, runErr, explainErr)
+		}
 	}
 }

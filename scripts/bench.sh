@@ -26,7 +26,9 @@
 # memory budget, with states and bytes/state as extra metrics), and the
 # multi-session server under reader/writer interference
 # (BenchmarkServerQPS: ns/op is per-statement latency across concurrent
-# line-protocol clients, p99-ns its tail). The race gates also cover
+# line-protocol clients, p99-ns its tail), and the SQL deadlock analysis
+# (BenchmarkVCGConstruction per §4.2 assignment — the pipeline's deadlock
+# phase runs all three — plus the A1 closure and A2 placement ablations). The race gates also cover
 # the lock-free metrics plane, the segment store and the
 # segmented-vs-serial model-checker equivalence, the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
@@ -44,7 +46,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
