@@ -154,13 +154,30 @@ func BenchmarkConstraintKernel(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		pred, err := ev.Compile(e, spec.ColumnIndex())
+		// The solver's compiled form, run the way Monolithic runs it: a
+		// one-lane sweep over the value the fire column already holds.
+		ix := spec.ColumnIndex()
+		fire := ix["locmsg"]
+		for ref := range sqlmini.Columns(e) {
+			if ix[ref] > fire {
+				fire = ix[ref]
+			}
+		}
+		prog, err := ev.CompileSweepVec(e, ix, fire)
 		if err != nil {
 			b.Fatal(err)
 		}
+		crow := make([]uint32, len(row))
+		for i, v := range row {
+			crow[i] = rel.SharedDict().Code(v)
+		}
+		in := prog.Instance()
+		keep := []bool{true}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pred(row); err != nil {
+			in.NextRow()
+			keep[0] = true
+			if _, err := prog.EvalSweepTrue(in, crow, crow[fire:fire+1], keep); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -789,30 +806,21 @@ func BenchmarkSQLSelectWhere(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizedFilter pins the scalar-vs-vectorized gap on a
-// pushdown filter scan: the same non-indexable predicate over table D,
-// evaluated row-at-a-time by the compiled closure kernel and
-// column-at-a-time by the selection-vector kernel. The pair is what
-// bench.sh records so a regression in either path is visible on its own.
+// BenchmarkVectorizedFilter pins the column-at-a-time pushdown filter
+// scan: a non-indexable predicate over table D evaluated by the
+// selection-vector kernels.
 func BenchmarkVectorizedFilter(b *testing.B) {
 	p := pipeline(b)
 	const q = `SELECT inmsg, dirst FROM D WHERE inmsg <> 'readex' AND locmsg IS NOT NULL`
-	defer p.DB.SetVectorized(true)
-	for _, bench := range []struct {
-		name string
-		vec  bool
-	}{{"scalar", false}, {"vectorized", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			p.DB.SetVectorized(bench.vec)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.DB.Query(q); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("vectorized", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.DB.Query(q); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSQLPreparedSelect is the plan-cache fast path in isolation: the

@@ -38,8 +38,7 @@ func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledC
 
 	if len(fire) == 0 {
 		// Nothing to check: pure cross product.
-		next := crossExtend(cur, width, domain, workers)
-		return next, st, nil
+		return extension{cur: cur, width: width, domain: domain}.build(workers), st, nil
 	}
 
 	// Group rows by their projection onto the referenced old columns. The
@@ -87,23 +86,9 @@ func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledC
 
 	// Emit surviving extensions, work-stealing over row batches and
 	// reassembling in batch order for determinism.
-	next := emitExtensions(cur, width, domain, groupOf, verdicts, workers)
-	return next, st, nil
+	x := extension{cur: cur, width: width, domain: domain, groupOf: groupOf, verdicts: verdicts}
+	return x.build(workers), st, nil
 }
-
-// sweepVectorized gates the solver's column-at-a-time domain sweep;
-// equivalence tests flip it to cross-check the vectorized and scalar
-// sweeps over full protocol generations. Not synchronized: set it before
-// solving, not during.
-var sweepVectorized = true
-
-// sweepScalarCutover is the work volume — groups × domain lanes — below
-// which the vectorized sweep's per-group setup (lane buffers, broadcast
-// of sweep-stable subtrees) costs more than the lanes it amortizes; such
-// steps run the pooled scalar closures instead. Kept small: DirectoryD's
-// production steps have hundreds of groups over single-digit domains,
-// and the vectorized sweep already wins there.
-const sweepScalarCutover = 256
 
 // sweepSmallJob is the work volume below which a step runs inline on the
 // calling goroutine: dealing single-group batches through the cursor to
@@ -112,54 +97,75 @@ const sweepScalarCutover = 256
 // entirely below this; see BENCH_8.json for the tuning.
 const sweepSmallJob = 4096
 
+// sweeper is one goroutine's evaluation state for a set of compiled
+// constraints: one pooled Instance per sweep program, plus a scratch row
+// whose last position the sweeps may overwrite.
+type sweeper struct {
+	cc    []compiledConstraint
+	insts []*sqlmini.Instance
+	row   []uint32
+}
+
+func newSweeper(cc []compiledConstraint, width int) sweeper {
+	s := sweeper{cc: cc, insts: make([]*sqlmini.Instance, len(cc)), row: make([]uint32, width)}
+	for i, c := range cc {
+		s.insts[i] = c.sweep.Instance()
+	}
+	return s
+}
+
+// release returns the instances to their programs' pools.
+func (s *sweeper) release() {
+	for i, c := range s.cc {
+		c.sweep.Release(s.insts[i])
+	}
+}
+
+// eval runs constraint i on row with its fire column swept across domain,
+// clearing keep[di] where the constraint is not definitely true. It
+// reports whether any lane survives. row's fire position is scratch.
+func (s *sweeper) eval(i int, row, domain []uint32, keep []bool) (bool, error) {
+	s.insts[i].NextRow()
+	return s.cc[i].sweep.EvalSweepTrue(s.insts[i], row, domain, keep)
+}
+
+// decide fills the verdict lanes of groups [lo, hi): each group's
+// representative row is extended with the whole domain, and the
+// constraints conjoin by AND-ing into the group's lanes, stopping early
+// when no lane survives.
+func (s *sweeper) decide(cur [][]uint32, domain []uint32, reps []int32, verdicts []bool, lo, hi int) error {
+	dlen := len(domain)
+	for g := lo; g < hi; g++ {
+		copy(s.row, cur[reps[g]])
+		keep := verdicts[g*dlen : (g+1)*dlen]
+		for di := range keep {
+			keep[di] = true
+		}
+		for i := range s.cc {
+			any, err := s.eval(i, s.row, domain, keep)
+			if err != nil {
+				return err
+			}
+			if !any {
+				break
+			}
+		}
+	}
+	return nil
+}
+
 // evalGroups fills verdicts[g*len(domain)+di] for every group g and domain
 // index di by running the fire programs on the group's representative row
-// extended with domain[di]. Every firing program carries a column-at-a-
-// time sweep form (see sqlmini.CompileSweepVec): one EvalSweepTrue call
-// decides the whole domain for one (group, constraint) pair, evaluating
-// sweep-stable rule conditions once per group and the sweep-reading
-// leaves as tight loops over the domain's code vector. Constraints
-// conjoin by AND-ing into a shared keep vector, stopping early when no
-// lane survives.
+// extended with domain[di]. One EvalSweepTrue call decides the whole
+// domain for one (group, constraint) pair, evaluating sweep-stable rule
+// conditions once per group and the sweep-reading leaves as tight loops
+// over the domain's code vector.
 func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
-	if !sweepVectorized || len(reps)*len(domain) < sweepScalarCutover {
-		return evalGroupsScalar(cur, width, domain, fire, reps, verdicts, workers)
-	}
-	dlen := len(domain)
-	if workers <= 1 || len(reps)*dlen < sweepSmallJob {
+	if workers <= 1 || len(reps)*len(domain) < sweepSmallJob {
 		// Small-step fast path: sweep inline on the calling goroutine.
-		scratch := make([]uint32, width)
-		keep := make([]bool, dlen)
-		insts := make([]*sqlmini.Instance, len(fire))
-		for i, c := range fire {
-			insts[i] = c.sweep.Instance()
-		}
-		var firstErr error
-	groups:
-		for g := range reps {
-			copy(scratch, cur[reps[g]])
-			for _, in := range insts {
-				in.NextRow()
-			}
-			for di := range keep {
-				keep[di] = true
-			}
-			for i, cc := range fire {
-				any, err := cc.sweep.EvalSweepTrue(insts[i], scratch, domain, keep)
-				if err != nil {
-					firstErr = err
-					break groups
-				}
-				if !any {
-					break
-				}
-			}
-			copy(verdicts[g*dlen:(g+1)*dlen], keep)
-		}
-		for i, c := range fire {
-			c.sweep.Release(insts[i])
-		}
-		return firstErr
+		sw := newSweeper(fire, width)
+		defer sw.release()
+		return sw.decide(cur, domain, reps, verdicts, 0, len(reps))
 	}
 	cursor := newBatchCursor(uint64(len(reps)), workers)
 	nw := workers
@@ -172,41 +178,16 @@ func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConst
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scratch := make([]uint32, width)
-			keep := make([]bool, dlen)
-			insts := make([]*sqlmini.Instance, len(fire))
-			for i, c := range fire {
-				insts[i] = c.sweep.Instance()
-			}
-			defer func() {
-				for i, c := range fire {
-					c.sweep.Release(insts[i])
-				}
-			}()
+			sw := newSweeper(fire, width)
+			defer sw.release()
 			for {
 				_, lo, hi, ok := cursor.grab()
 				if !ok {
 					return
 				}
-				for g := lo; g < hi; g++ {
-					copy(scratch, cur[reps[g]])
-					for _, in := range insts {
-						in.NextRow()
-					}
-					for di := range keep {
-						keep[di] = true
-					}
-					for i, cc := range fire {
-						any, err := cc.sweep.EvalSweepTrue(insts[i], scratch, domain, keep)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						if !any {
-							break
-						}
-					}
-					copy(verdicts[int(g)*dlen:int(g+1)*dlen], keep)
+				if err := sw.decide(cur, domain, reps, verdicts, int(lo), int(hi)); err != nil {
+					errs[w] = err
+					return
 				}
 			}
 		}(w)
@@ -220,222 +201,79 @@ func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConst
 	return nil
 }
 
-// evalGroupsScalar is the row-at-a-time sweep the vectorized path
-// replaced: one EvalCodes closure-tree walk per (group, value, constraint)
-// triple, with the sweep cache amortizing subtrees over earlier columns.
-// Kept as the cross-check oracle for the vectorized sweep.
-func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
-	dlen := len(domain)
-	if workers <= 1 || len(reps)*dlen < sweepSmallJob {
-		// Micro-step fast path: the whole sweep runs on the calling
-		// goroutine — spawning workers and dealing single-group batches
-		// through the cursor costs more than the evaluations themselves.
-		scratch := make([]uint32, width)
-		insts := make([]*sqlmini.Instance, len(fire))
-		for i, c := range fire {
-			insts[i] = c.prog.Instance()
-		}
-		var firstErr error
-	groups:
-		for g := range reps {
-			copy(scratch, cur[reps[g]])
-			base := g * dlen
-			for _, in := range insts {
-				in.NextRow()
-			}
-			for di, c := range domain {
-				scratch[width-1] = c
-				pass := true
-				for i, cc := range fire {
-					t, err := cc.prog.EvalCodes(insts[i], scratch)
-					if err != nil {
-						firstErr = err
-						break groups
-					}
-					if !t {
-						pass = false
-						break
-					}
-				}
-				verdicts[base+di] = pass
-			}
-		}
-		for i, c := range fire {
-			c.prog.Release(insts[i])
-		}
-		return firstErr
-	}
-	cursor := newBatchCursor(uint64(len(reps)), workers)
-	nw := workers
-	if nb := cursor.numBatches(); nw > nb {
-		nw = nb
-	}
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scratch := make([]uint32, width)
-			insts := make([]*sqlmini.Instance, len(fire))
-			for i, c := range fire {
-				insts[i] = c.prog.Instance()
-			}
-			defer func() {
-				for i, c := range fire {
-					c.prog.Release(insts[i])
-				}
-			}()
-			for {
-				_, lo, hi, ok := cursor.grab()
-				if !ok {
-					return
-				}
-				for g := lo; g < hi; g++ {
-					copy(scratch, cur[reps[g]])
-					base := int(g) * dlen
-					for _, in := range insts {
-						in.NextRow()
-					}
-					for di, c := range domain {
-						scratch[width-1] = c
-						pass := true
-						for i, cc := range fire {
-							t, err := cc.prog.EvalCodes(insts[i], scratch)
-							if err != nil {
-								errs[w] = err
-								return
-							}
-							if !t {
-								pass = false
-								break
-							}
-						}
-						verdicts[base+di] = pass
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// extension is one step's row extension: every row of cur extended with
+// every domain code whose verdict lane passes, row i reading the lanes of
+// group groupOf[i]. Nil verdicts keep every extension — the unconstrained
+// cross product.
+type extension struct {
+	cur      [][]uint32
+	width    int
+	domain   []uint32
+	groupOf  []int32
+	verdicts []bool
 }
 
-// emitExtensions materializes the surviving extensions from the verdict
-// table. Rows come from per-worker arenas (one chunk allocation per ~2000
-// code rows instead of one per row); batches reassemble in index order.
-func emitExtensions(cur [][]uint32, width int, domain []uint32, groupOf []int32, verdicts []bool, workers int) [][]uint32 {
-	dlen := len(domain)
-	if workers <= 1 || len(cur)*dlen < sweepSmallJob {
-		// Micro-step fast path: emit inline, same index order as the
-		// batched reassembly below.
-		cnt := 0
-		for i := range cur {
-			base := int(groupOf[i]) * dlen
-			for _, pass := range verdicts[base : base+dlen] {
+// lanes returns row i's verdict lanes, or nil when every extension
+// survives.
+func (x *extension) lanes(i int) []bool {
+	if x.verdicts == nil {
+		return nil
+	}
+	base := int(x.groupOf[i]) * len(x.domain)
+	return x.verdicts[base : base+len(x.domain)]
+}
+
+// rows builds the surviving extensions of cur[lo:hi] in row, then domain,
+// order. Survivors are counted first so they come from one exactly-sized
+// arena chunk and one output slice.
+func (x *extension) rows(arena *codeArena, lo, hi int) [][]uint32 {
+	cnt := (hi - lo) * len(x.domain)
+	if x.verdicts != nil {
+		cnt = 0
+		for i := lo; i < hi; i++ {
+			for _, pass := range x.lanes(i) {
 				if pass {
 					cnt++
 				}
 			}
 		}
-		if cnt == 0 {
-			return nil
-		}
-		var arena codeArena
-		arena.reserve(cnt * width)
-		out := make([][]uint32, 0, cnt)
-		for i, row := range cur {
-			base := int(groupOf[i]) * dlen
-			for di, pass := range verdicts[base : base+dlen] {
-				if !pass {
-					continue
-				}
-				nr := arena.row(width)
-				copy(nr, row)
-				nr[width-1] = domain[di]
-				out = append(out, nr)
+	}
+	if cnt == 0 {
+		return nil
+	}
+	arena.reserve(cnt * x.width)
+	out := make([][]uint32, 0, cnt)
+	for i := lo; i < hi; i++ {
+		lanes := x.lanes(i)
+		for di, c := range x.domain {
+			if lanes != nil && !lanes[di] {
+				continue
 			}
+			nr := arena.row(x.width)
+			copy(nr, x.cur[i])
+			nr[x.width-1] = c
+			out = append(out, nr)
 		}
-		return out
 	}
-	cursor := newBatchCursor(uint64(len(cur)), workers)
-	nb := cursor.numBatches()
-	nw := workers
-	if nw > nb {
-		nw = nb
-	}
-	perBatch := make([][][]uint32, nb)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena codeArena
-			for {
-				idx, lo, hi, ok := cursor.grab()
-				if !ok {
-					return
-				}
-				// Count survivors first so the batch's rows come from one
-				// exactly-sized chunk and one output slice.
-				cnt := 0
-				for i := lo; i < hi; i++ {
-					base := int(groupOf[i]) * dlen
-					for _, pass := range verdicts[base : base+dlen] {
-						if pass {
-							cnt++
-						}
-					}
-				}
-				if cnt == 0 {
-					continue
-				}
-				arena.reserve(cnt * width)
-				out := make([][]uint32, 0, cnt)
-				for i := lo; i < hi; i++ {
-					row := cur[i]
-					base := int(groupOf[i]) * dlen
-					for di, pass := range verdicts[base : base+dlen] {
-						if !pass {
-							continue
-						}
-						nr := arena.row(width)
-						copy(nr, row)
-						nr[width-1] = domain[di]
-						out = append(out, nr)
-					}
-				}
-				perBatch[idx] = out
-			}
-		}()
-	}
-	wg.Wait()
-	return flattenBatches(perBatch)
+	return out
 }
 
-// crossExtend is the unconstrained fast path: every extension survives.
-func crossExtend(cur [][]uint32, width int, domain []uint32, workers int) [][]uint32 {
-	dlen := len(domain)
-	if workers <= 1 || len(cur)*dlen < sweepSmallJob {
+// build materializes the extension: inline on the calling goroutine when
+// the step is small, otherwise over work-stealing row batches.
+func (x extension) build(workers int) [][]uint32 {
+	if workers <= 1 || len(x.cur)*len(x.domain) < sweepSmallJob {
 		var arena codeArena
-		arena.reserve(len(cur) * dlen * width)
-		out := make([][]uint32, 0, len(cur)*dlen)
-		for _, row := range cur {
-			for _, c := range domain {
-				nr := arena.row(width)
-				copy(nr, row)
-				nr[width-1] = c
-				out = append(out, nr)
-			}
-		}
-		return out
+		return x.rows(&arena, 0, len(x.cur))
 	}
-	cursor := newBatchCursor(uint64(len(cur)), workers)
+	return x.buildBatched(workers)
+}
+
+// buildBatched deals row batches to up to workers goroutines, each
+// allocating from its own arena (one chunk per ~2000 code rows instead of
+// one per row); batches reassemble in index order, so output order never
+// depends on the split.
+func (x extension) buildBatched(workers int) [][]uint32 {
+	cursor := newBatchCursor(uint64(len(x.cur)), workers)
 	nb := cursor.numBatches()
 	nw := workers
 	if nw > nb {
@@ -453,18 +291,7 @@ func crossExtend(cur [][]uint32, width int, domain []uint32, workers int) [][]ui
 				if !ok {
 					return
 				}
-				arena.reserve(int(hi-lo) * dlen * width)
-				out := make([][]uint32, 0, (hi-lo)*uint64(dlen))
-				for i := lo; i < hi; i++ {
-					row := cur[i]
-					for _, c := range domain {
-						nr := arena.row(width)
-						copy(nr, row)
-						nr[width-1] = c
-						out = append(out, nr)
-					}
-				}
-				perBatch[idx] = out
+				perBatch[idx] = x.rows(&arena, int(lo), int(hi))
 			}
 		}()
 	}

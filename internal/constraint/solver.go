@@ -283,14 +283,13 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 		go func(w int) {
 			defer wg.Done()
 			var arena codeArena
-			row := make([]uint32, len(names))
-			// Per-worker program instances. Monolithic enumeration changes
-			// many columns between candidates, so the sweep cache is
-			// invalidated before every evaluation.
-			insts := make([]*sqlmini.Instance, len(cc))
-			for i, c := range cc {
-				insts[i] = c.prog.Instance()
-			}
+			// Each constraint runs as a one-lane sweep over the value its
+			// fire column already holds; enumeration changes many columns
+			// between candidates, so every evaluation starts a new row.
+			sw := newSweeper(cc, len(names))
+			defer sw.release()
+			row := sw.row
+			keep := []bool{true}
 			for {
 				bi, lo, hi, ok := cursor.grab()
 				if !ok {
@@ -308,8 +307,8 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 					tested[w]++
 					ok := true
 					for i, c := range cc {
-						insts[i].NextRow()
-						t, err := c.prog.EvalCodes(insts[i], row)
+						keep[0] = true
+						t, err := sw.eval(i, row, row[c.fire:c.fire+1], keep)
 						if err != nil {
 							errs[w] = err
 							return

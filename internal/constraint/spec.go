@@ -281,23 +281,24 @@ func (s *Spec) ColumnIndex() map[string]int {
 	return out
 }
 
-// compiledConstraint is one column constraint lowered to a compiled
-// program, plus its scheduling metadata: the row positions it reads and
-// the step at which it becomes checkable.
+// compiledConstraint is one column constraint lowered to a column-at-a-
+// time sweep program over its fire column, plus its scheduling metadata:
+// the row positions it reads and the step at which it becomes checkable.
+// The incremental solver sweeps the fire column across its domain;
+// Monolithic runs the same program as a one-lane sweep over the value
+// already in the row.
 type compiledConstraint struct {
 	col   string
-	prog  *sqlmini.Program
-	sweep *sqlmini.SweepProg // column-at-a-time form of prog over the fire column
-	refs  []int              // row positions the constraint reads, own column included
-	fire  int                // max referenced position: the step the constraint fires at
+	sweep *sqlmini.SweepProg
+	refs  []int // row positions the constraint reads, own column included
+	fire  int   // max referenced position: the step the constraint fires at
 }
 
-// compiledConstraints lowers every column constraint into a position-bound
-// closure program, cached on the spec until the next mutation. Each
-// program is sweep-compiled around the column added at its firing step, so
-// the incremental solver's domain sweep evaluates subtrees over earlier
-// columns once per candidate row instead of once per (row, value) pair.
-// The returned slice is shared and must not be mutated.
+// compiledConstraints lowers every column constraint into a sweep program
+// around the column added at its firing step (see sqlmini.CompileSweepVec),
+// cached on the spec until the next mutation. Constraints compile in
+// column order, so a spec with several bad constraints always reports the
+// first. The returned slice is shared and must not be mutated.
 func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,10 +307,14 @@ func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 	}
 	ev := s.evaluator()
 	out := make([]compiledConstraint, 0, len(s.constraints))
-	for col, e := range s.constraints {
-		cc := compiledConstraint{col: col}
+	for _, c := range s.cols {
+		e, ok := s.constraints[c.Name]
+		if !ok {
+			continue
+		}
+		cc := compiledConstraint{col: c.Name}
 		names := sqlmini.Columns(e)
-		names[col] = struct{}{}
+		names[c.Name] = struct{}{}
 		for n := range names {
 			p := s.colIdx[n]
 			cc.refs = append(cc.refs, p)
@@ -318,17 +323,9 @@ func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 			}
 		}
 		sort.Ints(cc.refs)
-		prog, err := ev.CompileSweep(e, s.colIdx, cc.fire)
-		if err != nil {
-			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
-		}
-		cc.prog = prog
-		// The vectorized sweep accepts exactly what CompileSweep accepts
-		// (irreducible subtrees lower to a looped scalar closure), so a
-		// failure here is the same class of spec error.
-		cc.sweep, err = ev.CompileSweepVec(e, s.colIdx, cc.fire)
-		if err != nil {
-			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
+		var err error
+		if cc.sweep, err = ev.CompileSweepVec(e, s.colIdx, cc.fire); err != nil {
+			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, c.Name, err)
 		}
 		out = append(out, cc)
 	}

@@ -104,7 +104,7 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 		}
 		span.Finish()
 	}()
-	if _, err := NewAssignment(v); err != nil {
+	if err := validateAssignment(v); err != nil {
 		return nil, err
 	}
 	db := analysisDB(opts)

@@ -27,65 +27,31 @@ type VKey struct {
 	M, S, D string
 }
 
-// Assignment is the channel assignment V (§4.1): "a database table with 4
-// columns — m, s, d, v — where m is a message from source s to destination
-// d and is sent over virtual channel v". Messages without an assignment
-// travel over dedicated or node-internal paths and induce no dependencies.
-type Assignment struct {
-	tab *rel.Table
-	idx map[VKey]string
-}
-
-// NewAssignment wraps a V table (columns m, s, d, v).
-func NewAssignment(v *rel.Table) (*Assignment, error) {
+// validateAssignment checks a channel assignment table V (§4.1): "a
+// database table with 4 columns — m, s, d, v — where m is a message from
+// source s to destination d and is sent over virtual channel v". Every
+// row must name all four fields, and no (m, s, d) hop may be assigned two
+// channels. Messages without an assignment travel over dedicated or
+// node-internal paths and induce no dependencies.
+func validateAssignment(v *rel.Table) error {
 	for _, c := range []string{"m", "s", "d", "v"} {
 		if !v.HasColumn(c) {
-			return nil, fmt.Errorf("%w: missing column %q", ErrBadAssignment, c)
+			return fmt.Errorf("%w: missing column %q", ErrBadAssignment, c)
 		}
 	}
-	a := &Assignment{tab: v, idx: make(map[VKey]string, v.NumRows())}
+	seen := make(map[VKey]string, v.NumRows())
 	for i := 0; i < v.NumRows(); i++ {
 		k := VKey{M: v.Get(i, "m").Str(), S: v.Get(i, "s").Str(), D: v.Get(i, "d").Str()}
-		if k.M == "" || k.S == "" || k.D == "" || v.Get(i, "v").IsNull() {
-			return nil, fmt.Errorf("%w: row %d has empty fields", ErrBadAssignment, i)
+		ch := v.Get(i, "v")
+		if k.M == "" || k.S == "" || k.D == "" || ch.IsNull() {
+			return fmt.Errorf("%w: row %d has empty fields", ErrBadAssignment, i)
 		}
-		if prev, dup := a.idx[k]; dup && prev != v.Get(i, "v").Str() {
-			return nil, fmt.Errorf("%w: %v assigned to both %s and %s", ErrBadAssignment, k, prev, v.Get(i, "v").Str())
+		if prev, dup := seen[k]; dup && prev != ch.Str() {
+			return fmt.Errorf("%w: %v assigned to both %s and %s", ErrBadAssignment, k, prev, ch.Str())
 		}
-		a.idx[k] = v.Get(i, "v").Str()
+		seen[k] = ch.Str()
 	}
-	return a, nil
-}
-
-// Channel returns the channel assigned to (m, s, d), or "" if the hop is
-// not a tracked channel resource.
-func (a *Assignment) Channel(m, s, d string) string {
-	return a.idx[VKey{M: m, S: s, D: d}]
-}
-
-// Channels returns the distinct channel names, sorted.
-func (a *Assignment) Channels() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range a.idx {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sortStrings(out)
-	return out
-}
-
-// Table returns the underlying V table.
-func (a *Assignment) Table() *rel.Table { return a.tab }
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return nil
 }
 
 // Placement is one of the five quad-placement relations of §4.1: a

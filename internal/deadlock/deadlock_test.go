@@ -50,44 +50,20 @@ func assignment(t testing.TB, name string) *rel.Table {
 	return v
 }
 
-func TestAssignmentWrapper(t *testing.T) {
-	v := assignment(t, protocol.AssignVC4)
-	a, err := NewAssignment(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Channel("readex", "local", "home"); got != "VC0" {
-		t.Fatalf("readex channel = %q", got)
-	}
-	if got := a.Channel("mread", "home", "home"); got != "VC4" {
-		t.Fatalf("mread channel = %q", got)
-	}
-	if got := a.Channel("nosuch", "local", "home"); got != "" {
-		t.Fatalf("unassigned hop = %q", got)
-	}
-	chans := a.Channels()
-	if len(chans) != 5 { // VC0-VC4
-		t.Fatalf("channels = %v", chans)
-	}
-	if a.Table() != v {
-		t.Fatal("Table accessor broken")
-	}
-}
-
 func TestAssignmentValidation(t *testing.T) {
 	bad := rel.MustNewTable("V", "m", "s", "d") // missing v
-	if _, err := NewAssignment(bad); !errors.Is(err, ErrBadAssignment) {
+	if err := validateAssignment(bad); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("err = %v", err)
 	}
 	dup := rel.MustNewTable("V", "m", "s", "d", "v")
 	dup.MustInsert(rel.S("x"), rel.S("local"), rel.S("home"), rel.S("VC0"))
 	dup.MustInsert(rel.S("x"), rel.S("local"), rel.S("home"), rel.S("VC1"))
-	if _, err := NewAssignment(dup); !errors.Is(err, ErrBadAssignment) {
+	if err := validateAssignment(dup); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("conflicting assignment err = %v", err)
 	}
 	empty := rel.MustNewTable("V", "m", "s", "d", "v")
 	empty.MustInsert(rel.Null(), rel.S("local"), rel.S("home"), rel.S("VC0"))
-	if _, err := NewAssignment(empty); !errors.Is(err, ErrBadAssignment) {
+	if err := validateAssignment(empty); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("empty fields err = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -28,11 +29,11 @@ func goldenSpecs(t *testing.T) map[string]*constraint.Spec {
 
 // TestCompiledConstraintsMatchInterpreter is the golden equivalence check
 // of the constraint-compilation layer: for every constraint of every
-// controller spec, the compiled predicate must agree with the tree-walking
-// Evaluator.True on randomly sampled environments drawn from the column
-// domains — including the sweep-compiled form driven the way the solver
-// drives it (one cache generation per base row, last referenced column
-// swept across its domain).
+// controller spec, the sweep program the solver runs must agree with the
+// tree-walking Evaluator.True on randomly sampled environments drawn from
+// the column domains. Each sample is driven the way the solver drives it:
+// one cache generation per base row, the constraint's fire column (its
+// last referenced column) swept across its full domain in one call.
 func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 	const samples = 150
 	rng := rand.New(rand.NewSource(42))
@@ -43,54 +44,58 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 		for i, c := range cols {
 			domains[i] = c.Domain()
 		}
+		dict := rel.SharedDict()
 		ev := spec.Evaluator()
 		for _, col := range spec.ColumnNames() {
 			e := spec.Constraint(col)
 			if e == nil {
 				continue
 			}
-			pred, err := ev.Compile(e, colIdx)
-			if err != nil {
-				t.Fatalf("%s.%s: compile: %v", name, col, err)
-			}
-			// Sweep compilation around the constraint's last referenced
-			// column, exactly as the solver schedules it.
-			sweep := colIdx[col]
+			fire := colIdx[col]
 			for ref := range sqlmini.Columns(e) {
-				if p, ok := colIdx[ref]; ok && p > sweep {
-					sweep = p
+				if p, ok := colIdx[ref]; ok && p > fire {
+					fire = p
 				}
 			}
-			prog, err := ev.CompileSweep(e, colIdx, sweep)
+			prog, err := ev.CompileSweepVec(e, colIdx, fire)
 			if err != nil {
 				t.Fatalf("%s.%s: compile sweep: %v", name, col, err)
 			}
 			inst := prog.Instance()
-
-			row := make([]rel.Value, len(cols))
+			domain := make([]uint32, len(domains[fire]))
+			for i, v := range domains[fire] {
+				domain[i] = dict.Code(v)
+			}
+			keep := make([]bool, len(domain))
+			crow := make([]uint32, len(cols))
 			env := make(sqlmini.MapEnv, len(cols))
 			for s := 0; s < samples; s++ {
 				for i := range cols {
-					row[i] = domains[i][rng.Intn(len(domains[i]))]
-					env[cols[i].Name] = row[i]
+					v := domains[i][rng.Intn(len(domains[i]))]
+					crow[i] = dict.Code(v)
+					env[cols[i].Name] = v
 				}
 				inst.NextRow()
-				for _, v := range domains[sweep] {
-					row[sweep] = v
-					env[cols[sweep].Name] = v
+				for i := range keep {
+					keep[i] = true
+				}
+				_, serr := prog.EvalSweepTrue(inst, crow, domain, keep)
+				var werrs error
+				for di, v := range domains[fire] {
+					env[cols[fire].Name] = v
 					want, werr := ev.True(e, env)
-					got, gerr := pred(row)
-					if (werr == nil) != (gerr == nil) || got != want {
-						t.Fatalf("%s.%s on %v: interpreter (%v, %v), compiled (%v, %v)\nconstraint: %s",
-							name, col, row, want, werr, got, gerr, e)
-					}
-					sgot, serr := prog.Eval(inst, row)
-					if (werr == nil) != (serr == nil) || sgot != want {
-						t.Fatalf("%s.%s on %v: interpreter (%v, %v), sweep-compiled (%v, %v)\nconstraint: %s",
-							name, col, row, want, werr, sgot, serr, e)
+					werrs = errors.Join(werrs, werr)
+					if werr == nil && serr == nil && keep[di] != want {
+						t.Fatalf("%s.%s with %s = %v, env %v: interpreter %v, sweep lane %v\nconstraint: %s",
+							name, col, cols[fire].Name, v, env, want, keep[di], e)
 					}
 				}
+				if (werrs == nil) != (serr == nil) {
+					t.Fatalf("%s.%s on %v: interpreter err %v, sweep err %v\nconstraint: %s",
+						name, col, env, werrs, serr, e)
+				}
 			}
+			prog.Release(inst)
 		}
 	}
 }

@@ -105,23 +105,6 @@ func (t *Table) Difference(o *Table) (*Table, error) {
 	return out, nil
 }
 
-// Intersect returns the rows of t that also occur in o (set semantics).
-func (t *Table) Intersect(o *Table) (*Table, error) {
-	if err := sameSchema(t, o); err != nil {
-		return nil, err
-	}
-	keep := o.fullRowKeySet()
-	out := MustNewTable(t.name, t.cols...)
-	kept := make([]int, 0, t.nrows)
-	for i := 0; i < t.nrows; i++ {
-		if _, ok := keep[t.RowKey(i, nil)]; ok {
-			kept = append(kept, i)
-		}
-	}
-	out.gatherFrom(t, kept)
-	return out, nil
-}
-
 // fullRowKeySet returns the set of whole-row keys. Codes come from the
 // shared dictionary, so the keys are comparable across tables.
 func (t *Table) fullRowKeySet() map[string]struct{} {
@@ -150,74 +133,6 @@ func (out *Table) gatherFrom(src *Table, rows []int) {
 	out.nrows = len(rows)
 }
 
-// Cross returns the cross product of t and o. Column names must not collide;
-// use Rename first if they do. This is the operation the paper's constraint
-// solver prunes: controller tables are cross products of column tables with
-// non-satisfying rows removed.
-func (t *Table) Cross(o *Table) (*Table, error) {
-	cols := make([]string, 0, len(t.cols)+len(o.cols))
-	cols = append(cols, t.cols...)
-	cols = append(cols, o.cols...)
-	out, err := NewTable(t.name+"_x_"+o.name, cols...)
-	if err != nil {
-		return nil, err
-	}
-	n := t.nrows * o.nrows
-	for j, col := range t.data {
-		g := make([]uint32, 0, n)
-		for i := 0; i < t.nrows; i++ {
-			c := col[i]
-			for b := 0; b < o.nrows; b++ {
-				g = append(g, c)
-			}
-		}
-		out.data[j] = g
-	}
-	for j, col := range o.data {
-		g := make([]uint32, 0, n)
-		for i := 0; i < t.nrows; i++ {
-			g = append(g, col[:o.nrows]...)
-		}
-		out.data[len(t.cols)+j] = g
-	}
-	out.nrows = n
-	return out, nil
-}
-
-// CrossFiltered computes the cross product of t and o, keeping only rows for
-// which keep returns true. keep receives the concatenated row. This fuses
-// product and selection so pruning happens before materialization — the core
-// of incremental table generation.
-func (t *Table) CrossFiltered(o *Table, keep func(row []Value) bool) (*Table, error) {
-	cols := make([]string, 0, len(t.cols)+len(o.cols))
-	cols = append(cols, t.cols...)
-	cols = append(cols, o.cols...)
-	out, err := NewTable(t.name+"_x_"+o.name, cols...)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]Value, len(cols))
-	crow := make([]uint32, len(cols))
-	for a := 0; a < t.nrows; a++ {
-		for j, col := range t.data {
-			crow[j] = col[a]
-			buf[j] = t.dict.Value(col[a])
-		}
-		for b := 0; b < o.nrows; b++ {
-			for j, col := range o.data {
-				crow[len(t.cols)+j] = col[b]
-				buf[len(t.cols)+j] = o.dict.Value(col[b])
-			}
-			if keep(buf) {
-				if err := out.AppendCodeRow(crow); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
 // JoinOn is a condition for EquiJoin: left column name equals right column
 // name.
 type JoinOn struct {
@@ -228,11 +143,9 @@ type JoinOn struct {
 // using a hash join on the right table. NULL keys never match (SQL
 // semantics). Column names must not collide across the two tables. Keys are
 // dictionary codes — four bytes per join column — and the probe compares
-// integers, never strings.
+// integers, never strings. With no column pairs every row pair matches:
+// the result is the cross product.
 func (t *Table) EquiJoin(o *Table, on []JoinOn) (*Table, error) {
-	if len(on) == 0 {
-		return t.Cross(o)
-	}
 	lidx := make([]int, len(on))
 	ridx := make([]int, len(on))
 	for k, c := range on {
@@ -326,20 +239,6 @@ func (t *Table) Rename(mapping map[string]string) (*Table, error) {
 	copy(out.data, t.data)
 	out.nrows = t.nrows
 	return out, nil
-}
-
-// Prefix returns a copy of t with every column name prefixed by p, a common
-// pre-step before Cross/EquiJoin to avoid collisions. The copy shares t's
-// column vectors; such views must not be mutated.
-func (t *Table) Prefix(p string) *Table {
-	cols := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = p + c
-	}
-	out := MustNewTable(t.name, cols...)
-	copy(out.data, t.data)
-	out.nrows = t.nrows
-	return out
 }
 
 // ContainsAll reports whether every row of o occurs in t (set semantics over

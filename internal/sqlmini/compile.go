@@ -3,17 +3,14 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"coherdb/internal/rel"
 )
 
-// This file is the constraint-compilation layer: it lowers an expression
-// tree once into a tree of position-bound closures, so the constraint
-// solver's hot loop evaluates millions of candidate rows without per-row
-// name resolution, AST walks or operator-string dispatch. It is the same
-// move the query planner made for SELECT branches (plan-time boundCol
-// binding), applied to the solver's per-candidate evaluation:
+// This file is the expression-compilation layer: it lowers an expression
+// tree once into a tree of position-bound closures over dictionary-code
+// rows, so hot loops evaluate millions of rows without per-row name
+// resolution, AST walks or operator-string dispatch:
 //
 //   - column references resolve to row positions at compile time;
 //   - registered functions resolve to their Func at compile time;
@@ -21,16 +18,18 @@ import (
 //   - IN over literal sets compiles to a hash-set membership test;
 //   - comparison operators specialize per operator and NULL dialect;
 //   - with a sweep column declared, subtrees that do not read it are
-//     cached per instance across the sweep (see CompileSweep).
+//     cached per instance across the sweep.
 //
-// Compiled closures run over dictionary-code rows ([]uint32): equality,
-// IN membership and IS NULL specialize to integer compares against codes
-// interned at compile time, and only ordered comparisons and function
-// calls decode values. The Value-row entry points (Pred, Program.Eval)
-// remain as encoding wrappers over the code kernels.
+// Equality, IN membership and IS NULL specialize to integer compares
+// against codes interned at compile time; only ordered comparisons and
+// function calls decode values. Two forms are built on these closures:
+// CodePred (CompileBoundCodes), the executor's row-at-a-time filter for
+// conjuncts the vectorizer declines, and SweepProg (CompileSweepVec,
+// sweepvec.go), whose broadcast and fallback nodes are scalar closures.
+// Both agree with Evaluator.True, the single reference semantics.
 //
 // Compiled closures close over immutable compile-time state only; all
-// mutable evaluation state lives in per-worker Instances, so one Program
+// mutable evaluation state lives in per-worker Instances, so one program
 // may be evaluated concurrently from many solver workers.
 
 // dict is the shared dictionary every rel.Table encodes into; compiled
@@ -38,16 +37,11 @@ import (
 // codes at evaluation time.
 var dict = rel.SharedDict()
 
-// Pred is a compiled boolean constraint over a positional row: it reports
-// whether the expression is definitely true (WHERE semantics), exactly as
-// Evaluator.True would. The row must be at least long enough to cover
-// every column position the compiled expression references; referenced
-// positions beyond len(row) return ErrUnknownColumn. A Pred is safe for
+// CodePred is a compiled boolean condition over a dictionary-code row: it
+// reports whether the expression is definitely true (WHERE semantics),
+// exactly as Evaluator.True would on the decoded row. Referenced positions
+// beyond len(crow) return ErrUnknownColumn. A CodePred is safe for
 // concurrent use.
-type Pred func(row []rel.Value) (bool, error)
-
-// CodePred is Pred over a dictionary-code row — the form the executor's
-// filter loops evaluate, with no Value boxing on the hot path.
 type CodePred func(crow []uint32) (bool, error)
 
 // valFn is a compiled expression node producing a value.
@@ -61,141 +55,36 @@ type codeFn func(in *Instance, crow []uint32) (uint32, error)
 // triFn is a compiled condition node producing three-valued truth.
 type triFn func(in *Instance, crow []uint32) (tri, error)
 
-// Program is a compiled boolean expression. Programs hold no mutable
-// state; evaluation goes through an Instance, which carries the sweep
-// cache for one worker.
-type Program struct {
-	root     triFn
-	triSlots int
-	valSlots int
-
-	// insts pools released Instances so short solves (the constraint
-	// solver's micro-steps) reuse evaluation state instead of allocating
-	// memo slots per worker per step. Mirrors SweepProg's pool.
-	insts sync.Pool
-}
-
-// Instance is one worker's evaluation state for a Program: the cache
-// slots of sweep-stable subtrees plus the generation stamp that
-// invalidates them. Instances are not safe for concurrent use; each
-// goroutine evaluates through its own.
+// Instance is one worker's evaluation state for a SweepProg: the cache
+// slots of sweep-stable subtrees, the generation stamp that invalidates
+// them, and the lane buffers of the sweep combiners. Instances are not
+// safe for concurrent use; each goroutine evaluates through its own.
 type Instance struct {
 	gen     uint64
 	triMemo []uint64 // stamp per tri slot
 	tris    []tri
 	valMemo []uint64 // stamp per val slot
 	vals    []rel.Value
-	crow    []uint32 // scratch for the Value-row Eval wrapper
-	svBufs  [][]tri  // lane buffers for SweepProg combiners (see sweepvec.go)
-}
-
-// Instance returns evaluation state for p, reusing a released one when
-// available.
-func (p *Program) Instance() *Instance {
-	if in, _ := p.insts.Get().(*Instance); in != nil {
-		return in
-	}
-	return &Instance{
-		gen:     1,
-		triMemo: make([]uint64, p.triSlots),
-		tris:    make([]tri, p.triSlots),
-		valMemo: make([]uint64, p.valSlots),
-		vals:    make([]rel.Value, p.valSlots),
-	}
-}
-
-// Release puts an instance back into p's pool. The generation stamp on the
-// cache slots keeps a later user from reading this user's memo entries —
-// NextRow already separates rows within one user the same way.
-func (p *Program) Release(in *Instance) {
-	in.NextRow()
-	p.insts.Put(in)
+	svBufs  [][]tri // lane buffers for SweepProg combiners (see sweepvec.go)
 }
 
 // NextRow invalidates the sweep cache: call it whenever any column other
-// than the sweep column may have changed since the last Eval.
+// than the sweep column may have changed since the last evaluation.
 func (in *Instance) NextRow() { in.gen++ }
 
-// Eval evaluates the program on a Value row through this instance's cache,
-// reporting definite truth (WHERE semantics). It encodes the row and
-// defers to EvalCodes; hot paths hold code rows already and skip the
-// encoding.
-func (p *Program) Eval(in *Instance, row []rel.Value) (bool, error) {
-	var crow []uint32
-	if in != nil {
-		if cap(in.crow) < len(row) {
-			in.crow = make([]uint32, len(row))
-		}
-		crow = in.crow[:len(row)]
-	} else {
-		crow = make([]uint32, len(row))
-	}
-	for i, v := range row {
-		crow[i] = dict.Code(v)
-	}
-	return p.EvalCodes(in, crow)
-}
-
-// EvalCodes evaluates the program on a dictionary-code row through this
-// instance's cache, reporting definite truth (WHERE semantics).
-func (p *Program) EvalCodes(in *Instance, crow []uint32) (bool, error) {
-	t, err := p.root(in, crow)
-	return t == triTrue, err
-}
-
-// Compile lowers e into a position-bound closure tree with no sweep
-// caching. colIndex maps each referenced column name to its position in
-// the rows the predicate will see; the evaluator's Funcs and NullEq
-// dialect are captured at compile time. Unknown columns and functions are
-// compile-time errors (Evaluator reports them at evaluation time; the
-// constraint solver validates constraints at spec-construction time, so
-// the shift is invisible there).
-//
-// Compile(e, ix) agrees with Evaluator.True(e, env) on every row/env pair
-// that binds the same values — the golden equivalence property the
-// constraint solver relies on.
-func (ev *Evaluator) Compile(e Expr, colIndex map[string]int) (Pred, error) {
-	p, err := ev.CompileSweep(e, colIndex, -1)
-	if err != nil {
-		return nil, err
-	}
-	// No sweep column means no cache slots, so a nil Instance is never
-	// dereferenced and the closure stays safe for concurrent use.
-	return func(row []rel.Value) (bool, error) {
-		return p.Eval(nil, row)
-	}, nil
-}
-
 // errUnboundCol marks an expression the query planner could not fully
-// bind to row positions; CompileBound callers fall back to interpreted
-// evaluation, whose name resolution reports the identical unknown-column
-// or ambiguity errors the unplanned path always produced.
+// bind to row positions; CompileBoundCodes callers fall back to
+// interpreted evaluation, whose name resolution reports the identical
+// unknown-column or ambiguity errors the unplanned path always produced.
 var errUnboundCol = errors.New("sqlmini: expression not fully plan-bound")
 
-// CompileBound lowers a plan-bound expression — one whose column
+// CompileBoundCodes lowers a plan-bound expression — one whose column
 // references bindExpr already replaced with boundCol positions — into a
-// Pred over the frame's positional rows. Any remaining bare Col (unknown
-// or ambiguous at plan time) aborts compilation with errUnboundCol.
-func (ev *Evaluator) CompileBound(e Expr) (Pred, error) {
-	cp, err := ev.CompileBoundCodes(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(row []rel.Value) (bool, error) {
-		crow := make([]uint32, len(row))
-		for i, v := range row {
-			crow[i] = dict.Code(v)
-		}
-		return cp(crow)
-	}, nil
-}
-
-// CompileBoundCodes is CompileBound over dictionary-code rows: the form
-// the executor's morsel filter loops and hash-join residues evaluate
-// directly against frame code rows. It is the query executor's
-// counterpart of the constraint solver's Compile: the planner binds once,
+// CodePred over the frame's code rows: the form the executor's morsel
+// filter loops and hash-join residues evaluate. The planner binds once,
 // and the per-row filter loop then runs specialized closures instead of
-// walking the AST through an Env.
+// walking the AST through an Env. Any remaining bare Col (unknown or
+// ambiguous at plan time) aborts compilation with errUnboundCol.
 //
 // The NULL dialect and function registry are captured at compile time, so
 // compiled plans are cached per dialect (see planEntry) and invalidated
@@ -206,35 +95,18 @@ func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{root: root}
+	// No sweep column means no cache slots, so the nil Instance is never
+	// dereferenced.
 	return func(crow []uint32) (bool, error) {
-		return p.EvalCodes(nil, crow)
+		t, err := root(nil, crow)
+		return t == triTrue, err
 	}, nil
-}
-
-// CompileSweep is Compile for sweep evaluation: the caller declares that
-// between NextRow calls only the column at position sweep changes, and
-// the compiler gives every maximal subtree that does not read that column
-// a cache slot, evaluated once per generation. The constraint solver
-// sweeps a candidate row's newest column across its domain; with the
-// paper's rule-chain constraints this caches every rule condition (input
-// columns only) across the whole domain sweep.
-//
-// Caching assumes registered Funcs are pure: a Func over sweep-stable
-// arguments is invoked once per generation, not once per evaluation.
-func (ev *Evaluator) CompileSweep(e Expr, colIndex map[string]int, sweep int) (*Program, error) {
-	c := &compiler{ev: ev, ix: colIndex, sweep: sweep}
-	root, _, err := c.bool(e)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{root: root, triSlots: c.triSlots, valSlots: c.valSlots}, nil
 }
 
 // compiler carries compile-time state: the column binding, the sweep
 // column (-1 when absent), the cache-slot counters, and whether column
-// references resolve through pre-bound positions (CompileBound) or the
-// name index (Compile/CompileSweep).
+// references resolve through pre-bound positions (CompileBoundCodes) or
+// the name index (CompileSweepVec).
 type compiler struct {
 	ev       *Evaluator
 	ix       map[string]int

@@ -72,9 +72,25 @@ func forEachFixtureRow(fn func(row []rel.Value)) {
 	}
 }
 
-// TestCompileAgreesWithInterpreter is the golden equivalence property at
-// unit level: over every operator form, dialect and 3-column env, Compile
-// and Evaluator.True agree exactly.
+// fixtureFrame is the compileFixtureCols layout as a plan frame, so
+// bindExpr can bind fixture expressions for CompileBoundCodes.
+func fixtureFrame() *frame {
+	return &frame{aliases: []string{"t", "t", "t"}, names: []string{"a", "b", "c"}}
+}
+
+// encodeRow interns a Value row into dictionary codes.
+func encodeRow(row []rel.Value) []uint32 {
+	crow := make([]uint32, len(row))
+	for i, v := range row {
+		crow[i] = dict.Code(v)
+	}
+	return crow
+}
+
+// TestCompileAgreesWithInterpreter is the golden equivalence property of
+// the row-at-a-time compiled form at unit level: over every operator form,
+// dialect and 3-column env, CompileBoundCodes and Evaluator.True agree
+// exactly.
 func TestCompileAgreesWithInterpreter(t *testing.T) {
 	for _, nullEq := range []bool{false, true} {
 		ev := fixtureEvaluator(nullEq)
@@ -83,13 +99,13 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			pred, err := ev.Compile(e, compileFixtureCols)
+			pred, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame()))
 			if err != nil {
 				t.Fatalf("compile %q: %v", src, err)
 			}
 			forEachFixtureRow(func(row []rel.Value) {
 				want, werr := ev.True(e, compileFixtureEnv(row))
-				got, gerr := pred(row)
+				got, gerr := pred(encodeRow(row))
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%q (nullEq=%v) on %v: interpreter err %v, compiled err %v",
 						src, nullEq, row, werr, gerr)
@@ -103,11 +119,12 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 	}
 }
 
-// TestCompileSweepAgreesWithInterpreter drives the sweep-compiled form the
-// way the solver does — one NextRow per base row, then the last column
-// swept across the domain — and checks the cached evaluation still agrees
-// with the interpreter everywhere.
+// TestCompileSweepAgreesWithInterpreter drives the sweep program the way
+// the solver does — one NextRow per base row, then one column swept across
+// the whole domain — for every choice of sweep column, and checks every
+// lane against the interpreter on the extended row.
 func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
+	domain := encodeRow(fixtureDomain)
 	for _, nullEq := range []bool{false, true} {
 		ev := fixtureEvaluator(nullEq)
 		for _, src := range compileTestExprs {
@@ -115,24 +132,38 @@ func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			prog, err := ev.CompileSweep(e, compileFixtureCols, 2)
-			if err != nil {
-				t.Fatalf("compile %q: %v", src, err)
-			}
-			in := prog.Instance()
-			for _, av := range fixtureDomain {
-				for _, bv := range fixtureDomain {
+			for sweep := 0; sweep < len(compileFixtureCols); sweep++ {
+				prog, err := ev.CompileSweepVec(e, compileFixtureCols, sweep)
+				if err != nil {
+					t.Fatalf("compile %q: %v", src, err)
+				}
+				in := prog.Instance()
+				keep := make([]bool, len(domain))
+				forEachFixtureRow(func(row []rel.Value) {
+					if !row[sweep].IsNull() {
+						return // one base row per assignment of the other columns
+					}
 					in.NextRow()
-					for _, cv := range fixtureDomain {
-						row := []rel.Value{av, bv, cv}
+					for i := range keep {
+						keep[i] = true
+					}
+					_, gerr := prog.EvalSweepTrue(in, encodeRow(row), domain, keep)
+					var werrs error
+					for di, v := range fixtureDomain {
+						row[sweep] = v
 						want, werr := ev.True(e, compileFixtureEnv(row))
-						got, gerr := prog.Eval(in, row)
-						if (werr == nil) != (gerr == nil) || got != want {
-							t.Fatalf("%q (nullEq=%v) on %v: interpreter (%v, %v), sweep-compiled (%v, %v)",
-								src, nullEq, row, want, werr, got, gerr)
+						werrs = errors.Join(werrs, werr)
+						if werr == nil && gerr == nil && keep[di] != want {
+							t.Fatalf("%q (nullEq=%v, sweep=%d) on %v: interpreter %v, sweep lane %v",
+								src, nullEq, sweep, row, want, keep[di])
 						}
 					}
-				}
+					if (werrs == nil) != (gerr == nil) {
+						t.Fatalf("%q (nullEq=%v, sweep=%d) on %v: interpreter err %v, sweep err %v",
+							src, nullEq, sweep, row, werrs, gerr)
+					}
+				})
+				prog.Release(in)
 			}
 		}
 	}
@@ -144,8 +175,10 @@ func TestCompileUnknownColumnIsCompileTimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Compile(e, compileFixtureCols); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("err = %v, want ErrUnknownColumn", err)
+	for _, sweep := range []int{0, 2} {
+		if _, err := ev.CompileSweepVec(e, compileFixtureCols, sweep); !errors.Is(err, ErrUnknownColumn) {
+			t.Fatalf("sweep %d: err = %v, want ErrUnknownColumn", sweep, err)
+		}
 	}
 }
 
@@ -155,8 +188,15 @@ func TestCompileUnknownFuncIsCompileTimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Compile(e, compileFixtureCols); !errors.Is(err, ErrUnknownFunc) {
-		t.Fatalf("err = %v, want ErrUnknownFunc", err)
+	// Sweeping a routes the call through the per-lane fallback; sweeping c
+	// broadcasts it as a sweep-stable subtree. Both compile it eagerly.
+	for _, sweep := range []int{0, 2} {
+		if _, err := ev.CompileSweepVec(e, compileFixtureCols, sweep); !errors.Is(err, ErrUnknownFunc) {
+			t.Fatalf("sweep %d: err = %v, want ErrUnknownFunc", sweep, err)
+		}
+	}
+	if _, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame())); !errors.Is(err, ErrUnknownFunc) {
+		t.Fatalf("bound: err = %v, want ErrUnknownFunc", err)
 	}
 }
 
@@ -166,25 +206,25 @@ func TestCompiledPredShortRowErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.Compile(e, compileFixtureCols)
+	pred, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pred([]rel.Value{rel.S("p")}); !errors.Is(err, ErrUnknownColumn) {
+	if _, err := pred(encodeRow([]rel.Value{rel.S("p")})); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("err = %v, want ErrUnknownColumn for out-of-range position", err)
 	}
 }
 
 // TestCompiledPredConcurrentUse runs one compiled predicate from many
 // goroutines; it must be safe because all mutable state lives in per-worker
-// Instances (and a plain Compile has none). Meant for -race runs.
+// Instances (and a CodePred has none). Meant for -race runs.
 func TestCompiledPredConcurrentUse(t *testing.T) {
 	ev := fixtureEvaluator(true)
 	e, err := ParseExpr(`a = "p" ? b = "q" : b in ("q", "r")`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.Compile(e, compileFixtureCols)
+	pred, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +232,7 @@ func TestCompiledPredConcurrentUse(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 1000; i++ {
-				row := []rel.Value{rel.S("p"), rel.S("q"), fixtureDomain[i%len(fixtureDomain)]}
+				row := encodeRow([]rel.Value{rel.S("p"), rel.S("q"), fixtureDomain[i%len(fixtureDomain)]})
 				if ok, err := pred(row); err != nil || !ok {
 					done <- err
 					return

@@ -66,7 +66,9 @@ type DB struct {
 	exec    *pool.Pool
 	workers int
 	morsel  int
-	// vectorized enables the column-at-a-time scan path (on by default).
+	// vectorized enables the column-at-a-time scan path. It is always on
+	// outside tests, which turn it off to compare against row-at-a-time
+	// filter evaluation (see export_test.go).
 	vectorized bool
 
 	// statsMu guards the aggregate stats separately, so folding a
@@ -398,16 +400,6 @@ func (db *DB) SetMorselSize(n int) {
 		n = DefaultMorselSize
 	}
 	db.morsel = n
-}
-
-// SetVectorized enables or disables the column-at-a-time scan path
-// (enabled by default). Vectorized and scalar execution produce
-// byte-identical results; the knob exists for the golden equivalence
-// tests and the scalar-vs-vectorized benchmark pair.
-func (db *DB) SetVectorized(on bool) {
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	db.vectorized = on
 }
 
 // SetTracer installs (or, with nil, removes) a tracer: every statement

@@ -135,8 +135,8 @@ func TestExplainEvalAnnotation(t *testing.T) {
 	db := newTestDB(t)
 	// A non-equality conjunct stays as a pushdown filter; with every
 	// conjunct lowered to a selection-vector kernel the plan advertises the
-	// column-at-a-time path, and flipping the toggle reverts the same plan
-	// to row-at-a-time evaluation.
+	// column-at-a-time path, while a conjunct the vectorizer declines (it
+	// reads two columns) keeps the scan row-at-a-time.
 	checkPlan(t, db,
 		`EXPLAIN SELECT * FROM D WHERE inmsg <> 'readex'`,
 		[]string{
@@ -147,11 +147,10 @@ func TestExplainEvalAnnotation(t *testing.T) {
 		[]string{
 			`indexscan|D|1|index(dirst) = ('SI'); filter: (inmsg <> 'readex'); eval=vectorized; storage=columnar`,
 		})
-	db.SetVectorized(false)
 	checkPlan(t, db,
-		`EXPLAIN SELECT * FROM D WHERE inmsg <> 'readex'`,
+		`EXPLAIN SELECT * FROM D WHERE dirst < nxtdirst`,
 		[]string{
-			`scan|D|2|pushdown: (inmsg <> 'readex'); eval=scalar; storage=columnar`,
+			`scan|D|2|pushdown: (dirst < nxtdirst); eval=scalar; storage=columnar`,
 		})
 }
 

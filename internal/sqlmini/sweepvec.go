@@ -6,31 +6,31 @@ import (
 	"coherdb/internal/rel"
 )
 
-// Column-at-a-time sweep evaluation: the vectorized counterpart of
-// CompileSweep. The constraint solver extends a candidate row by sweeping
-// one column across its domain; CompileSweep makes each sweep cheap by
-// caching sweep-stable subtrees per row, but the per-value cost is still a
-// full closure-tree walk — memo checks, ternary-chain dispatch, one
-// virtual call per node per domain value. CompileSweepVec inverts the
-// loop: each compiled node evaluates the WHOLE domain per call, so stable
-// subtrees are computed once per row and broadcast, a ternary with a
-// stable condition descends only the chosen branch, and the sweep-reading
-// leaves (=, <>, IN, IS NULL against the swept column) become tight loops
-// over the domain's code vector. Subtrees the vectorizer cannot lower —
-// ordered comparisons, function calls over the swept column — fall back to
-// the scalar closure looped per domain value, with the scalar sweep cache
-// still amortizing their stable inner subtrees; compilation therefore
-// never declines.
+// Column-at-a-time sweep evaluation: the constraint solver's one compiled
+// form. The solver extends a candidate row by sweeping one column across
+// its domain; CompileSweepVec makes each compiled node evaluate the WHOLE
+// domain per call, so subtrees that do not read the swept column are
+// computed once per row and broadcast, a ternary with a stable condition
+// descends only the chosen branch, and the sweep-reading leaves (=, <>,
+// IN, IS NULL against the swept column) become tight loops over the
+// domain's code vector. Subtrees the vectorizer cannot lower — ordered
+// comparisons, function calls over the swept column — fall back to the
+// scalar closure looped per domain value, with the sweep cache still
+// amortizing their stable inner subtrees; compilation therefore never
+// declines. A one-lane sweep over the value already in the row is plain
+// row-at-a-time evaluation, which is how Monolithic runs it.
 //
 // Equivalence: for every (row, domain value) pair, the lane written here
-// equals what the scalar CompileSweep program computes on the extended
-// row. AND/OR combine lanes with the same Kleene triMin/triMax the scalar
-// closures use (per-lane short-circuit values agree: triMin(false, x) is
-// false regardless of x), and a ternary's unknown-condition lanes take the
-// else branch exactly as Evaluator.Bool does. Only error ORDER can differ
-// — the scalar sweep stops at the first failing (value, node) in row-major
-// order, the vectorized sweep in node-major order — which is invisible for
-// the solver's pure, total constraint vocabulary.
+// equals Evaluator.True on the row with the sweep column set to that
+// value; the sweep-vector tests check this on random expressions in both
+// NULL dialects, the protocol tests on every controller constraint.
+// AND/OR combine lanes with the interpreter's Kleene triMin/triMax
+// (per-lane short-circuit values agree: triMin(false, x) is false
+// regardless of x), and a ternary's unknown-condition lanes take the else
+// branch exactly as Evaluator.Bool does. Only error ORDER can differ
+// — the interpreter stops at the first failing node of one row, the sweep
+// at the first failing node over all lanes — which is invisible for the
+// solver's pure, total constraint vocabulary.
 
 // svFn evaluates one compiled condition node for a whole domain sweep:
 // out[i] is the node's truth on crow with the sweep column set to
@@ -38,8 +38,9 @@ import (
 // (fallback nodes write it); all other positions are read-only.
 type svFn func(in *Instance, crow []uint32, domain []uint32, out []tri) error
 
-// SweepProg is a compiled column-at-a-time sweep program. Like Program it
-// holds no mutable state; evaluation goes through a per-worker Instance.
+// SweepProg is a compiled column-at-a-time sweep program. It holds no
+// mutable state; evaluation goes through a per-worker Instance, so one
+// program may be evaluated concurrently from many solver workers.
 type SweepProg struct {
 	root     svFn
 	triSlots int
@@ -109,9 +110,15 @@ func (in *Instance) svBuf(slot, n int) []tri {
 }
 
 // CompileSweepVec lowers e into a column-at-a-time sweep program over the
-// column at position sweep. It accepts exactly the expressions CompileSweep
-// accepts (unknown columns and functions are the same compile-time errors)
-// and computes identical truth lanes; see the equivalence note above.
+// column at position sweep; colIndex maps each referenced column name to
+// its row position, and the evaluator's Funcs and NullEq dialect are
+// captured at compile time. Unknown columns and functions are compile-time
+// errors (Evaluator reports them at evaluation time; the constraint solver
+// validates constraints at spec-construction time, so the shift is
+// invisible there). See the equivalence note above.
+//
+// Caching assumes registered Funcs are pure: a Func over sweep-stable
+// arguments is invoked once per row, not once per lane.
 func (ev *Evaluator) CompileSweepVec(e Expr, colIndex map[string]int, sweep int) (*SweepProg, error) {
 	c := &compiler{ev: ev, ix: colIndex, sweep: sweep}
 	s := &sweepCompiler{c: c}
@@ -207,7 +214,7 @@ func (s *sweepCompiler) broadcast(e Expr) (svFn, error) {
 // fallback compiles the subtree as a scalar closure looped per domain
 // value through the crow sweep position. The closure's inner sweep-stable
 // subtrees hold cache slots, so the loop pays only for what actually
-// depends on the swept value — the same cost the scalar sweep pays today.
+// depends on the swept value.
 func (s *sweepCompiler) fallback(e Expr) (svFn, error) {
 	fn, _, err := s.c.bool(e)
 	if err != nil {

@@ -43,12 +43,15 @@ var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
 // conjunct is definitely true. Kernels therefore drop unknown outright,
 // which is what makes the NOT rewrites (rather than complements) exact.
 //
-// Evaluation order differs from the scalar path — conjunct-major over a
-// morsel instead of row-major — so when several rows would error, which
-// error surfaces first can differ. The compiled subset only errors on
-// registered Funcs, which this codebase's workloads keep pure and
-// total; the golden vectorized-vs-scalar tests pin byte-identical
-// results on every successful query.
+// Equivalence: the selection EvalVec keeps is exactly the set of rows on
+// which Evaluator.True holds (TestVecPredMatchesScalarKernel checks this
+// on random predicates in both NULL dialects). Evaluation order differs
+// from the interpreter — conjunct-major over a morsel instead of
+// row-major — so when several rows would error, which error surfaces
+// first can differ. The compiled subset only errors on registered Funcs,
+// which this codebase's workloads keep pure and total; the golden
+// vectorized-vs-row-at-a-time controller tests pin byte-identical results
+// on every successful query.
 //
 // A VecPred is immutable after compilation and safe for concurrent use:
 // all mutable evaluation state (scratch selections, verdict memos) lives
@@ -108,7 +111,8 @@ func (st *vecState) growMemo(slot int, code uint32) []uint8 {
 	return m
 }
 
-// VecPred is the vectorized form of a compiled WHERE conjunct.
+// VecPred is the vectorized form of a compiled WHERE conjunct: EvalVec
+// keeps exactly the rows on which Evaluator.True holds.
 type VecPred struct {
 	kern      vecKernel
 	bufSlots  int

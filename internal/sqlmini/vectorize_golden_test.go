@@ -56,12 +56,12 @@ func TestVectorizedMatchesScalarControllers(t *testing.T) {
 		for _, strict := range []bool{false, true} {
 			db.SetStrictNulls(strict)
 			for _, q := range queries {
-				db.SetVectorized(false)
+				sqlmini.SetVectorizedScans(db, false)
 				scalar, err := db.Query(q)
 				if err != nil {
 					t.Fatalf("scalar (strict=%v, parallel=%v) %q: %v", strict, parallel, q, err)
 				}
-				db.SetVectorized(true)
+				sqlmini.SetVectorizedScans(db, true)
 				vec, err := db.Query(q)
 				if err != nil {
 					t.Fatalf("vectorized (strict=%v, parallel=%v) %q: %v", strict, parallel, q, err)

@@ -9,9 +9,9 @@ import (
 )
 
 // Kernel-level audits of the vectorized execution layer: the selection-
-// vector kernels against the scalar compiled predicates they replace, the
-// sweep-vector programs against the scalar sweep programs, and the
-// steady-state allocation contract of EvalVec.
+// vector kernels and the sweep-vector programs against the tree-walking
+// interpreter evaluated one row at a time, and the steady-state allocation
+// contract of EvalVec.
 
 // vecTestValues is the value universe the random predicate generator draws
 // from: a NULL, a few strings, a few ints — enough to exercise both NULL
@@ -79,10 +79,24 @@ func randCodeCols(rng *rand.Rand, ncols, nrows int) [][]uint32 {
 	return cols
 }
 
+// codeRowEnv is a positional Env over one dictionary-code row, so the
+// interpreter can evaluate plan-bound expressions on the rows a kernel
+// sees.
+type codeRowEnv []uint32
+
+func (codeRowEnv) Lookup(_, _ string) (rel.Value, bool) { return rel.Null(), false }
+
+func (r codeRowEnv) At(i int) (rel.Value, bool) {
+	if i < 0 || i >= len(r) {
+		return rel.Null(), false
+	}
+	return dict.Value(r[i]), true
+}
+
 // TestVecPredMatchesScalarKernel is the seeded randomized cross-check: for
 // hundreds of random predicates, in both NULL dialects, the selection
-// vector EvalVec keeps must be exactly the rows the scalar CodePred
-// accepts one at a time.
+// vector EvalVec keeps must be exactly the rows Evaluator.True accepts
+// one at a time.
 func TestVecPredMatchesScalarKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const ncols, nrows = 3, 64
@@ -94,10 +108,6 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 			vp, err := ev.CompileBoundVec(e)
 			if err != nil {
 				continue // not vectorizable (e.g. multi-column fallback): scalar path owns it
-			}
-			cp, err := ev.CompileBoundCodes(e)
-			if err != nil {
-				t.Fatalf("trial %d strict=%v: scalar compile of %s: %v", trial, strict, e, err)
 			}
 			sel := make([]uint32, nrows)
 			for i := range sel {
@@ -113,16 +123,16 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 				for j := 0; j < ncols; j++ {
 					crow[j] = cols[j][i]
 				}
-				ok, err := cp(crow)
+				ok, err := ev.True(e, codeRowEnv(crow))
 				if err != nil {
-					t.Fatalf("trial %d strict=%v: scalar eval of %s: %v", trial, strict, e, err)
+					t.Fatalf("trial %d strict=%v: interpreting %s: %v", trial, strict, e, err)
 				}
 				if ok {
 					want = append(want, uint32(i))
 				}
 			}
 			if fmt.Sprint(kept) != fmt.Sprint(want) {
-				t.Fatalf("trial %d strict=%v: %s\nvectorized keeps %v\nscalar keeps    %v",
+				t.Fatalf("trial %d strict=%v: %s\nvectorized keeps  %v\ninterpreter keeps %v",
 					trial, strict, e, kept, want)
 			}
 		}
@@ -172,11 +182,11 @@ func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 	}
 }
 
-// TestSweepVecMatchesScalarSweep cross-checks CompileSweepVec against
-// CompileSweep on random expressions: for random base rows and domains,
-// every lane EvalSweepTrue keeps must match EvalCodes on the row with the
-// sweep column substituted — in both NULL dialects, with the sweep cache
-// exercised across consecutive rows.
+// TestSweepVecMatchesScalarSweep cross-checks CompileSweepVec against a
+// scalar sweep of the interpreter on random expressions: for random base
+// rows and domains, every lane EvalSweepTrue keeps must match
+// Evaluator.True on the row with the sweep column substituted — in both
+// NULL dialects, with the sweep cache exercised across consecutive rows.
 func TestSweepVecMatchesScalarSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"a", "b", "c", "d"}
@@ -190,11 +200,7 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: sweep-vec compile of %s: %v", trial, strict, e, err)
 			}
-			prog, err := ev.CompileSweep(e, ix, sweep)
-			if err != nil {
-				t.Fatalf("trial %d strict=%v: sweep compile of %s: %v", trial, strict, e, err)
-			}
-			vin, sin := sp.Instance(), prog.Instance()
+			vin := sp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
@@ -206,21 +212,24 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 				}
 				vin.NextRow()
-				sin.NextRow()
 				for i := range keep {
 					keep[i] = true
 				}
 				if _, err := sp.EvalSweepTrue(vin, crow, domain, keep); err != nil {
 					t.Fatalf("trial %d strict=%v: EvalSweepTrue of %s: %v", trial, strict, e, err)
 				}
+				env := make(MapEnv, len(names))
+				for j, n := range names {
+					env[n] = dict.Value(crow[j])
+				}
 				for di, d := range domain {
-					crow[sweep] = d
-					want, err := prog.EvalCodes(sin, crow)
+					env[names[sweep]] = dict.Value(d)
+					want, err := ev.True(e, env)
 					if err != nil {
-						t.Fatalf("trial %d strict=%v: scalar sweep of %s: %v", trial, strict, e, err)
+						t.Fatalf("trial %d strict=%v: interpreting %s: %v", trial, strict, e, err)
 					}
 					if keep[di] != want {
-						t.Fatalf("trial %d strict=%v row %d lane %d: %s\nvectorized=%v scalar=%v (sweep col %d = code %d)",
+						t.Fatalf("trial %d strict=%v row %d lane %d: %s\nvectorized=%v interpreter=%v (sweep col %d = code %d)",
 							trial, strict, row, di, e, keep[di], want, sweep, d)
 					}
 				}

@@ -16,12 +16,13 @@
 # hot path must never produce a green benchmark report.
 #
 # The default pattern covers the generation-sensitive benchmarks (the
-# compiled-kernel solver on table D and the Fig. 3 incremental sweep)
+# compiled-kernel solver on table D, all eight controller tables, and the
+# Fig. 3 incremental sweep)
 # plus the planner-sensitive ones: the invariant suite (the paper's
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
-# instrumented execution of the same join), the scalar-vs-vectorized
-# filter pair, the segment pack/unpack throughput, the out-of-core
+# instrumented execution of the same join), the vectorized filter scan,
+# the segment pack/unpack throughput, the out-of-core
 # state-exploration trio (in-memory vs segmented vs spilled at a fixed
 # memory budget, with states and bytes/state as extra metrics), and the
 # multi-session server under reader/writer interference
@@ -46,7 +47,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
