@@ -8,6 +8,7 @@ package coherdb_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -838,6 +839,75 @@ func BenchmarkSQLPreparedSelect(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSQLResidueFilter prices a post-join residue: D joined with
+// itself on inmsg, then filtered by a conjunct reading one column from
+// each side, which no scan can take and which runs column-at-a-time over
+// the columns it reads, gathered from the joined rows.
+func BenchmarkSQLResidueFilter(b *testing.B) {
+	p := pipeline(b)
+	const q = `SELECT a.inmsg, a.dirst, b.nxtdirst FROM D a JOIN D b ON a.inmsg = b.inmsg WHERE a.dirst <> b.nxtdirst`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.DB.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSQLUpdateRow prices the edit-check loop's DML: a one-row
+// UPDATE addressed by a full-row match — one conjunct per column, the
+// WHERE the edit-check workload's edits carry — plus the UPDATE that
+// undoes it, on the widest controller table (D) and a narrow one (SY).
+func BenchmarkSQLUpdateRow(b *testing.B) {
+	p := deltaPipeline(b)
+	for _, name := range []string{protocol.DirectoryTable, protocol.SyncTable} {
+		do, undo := rowUpdatePair(p.DB.MustTable(name))
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, stmt := range []string{do, undo} {
+					res, err := p.DB.Exec(stmt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Affected != 1 {
+						b.Fatalf("%s: %d rows affected, want 1", stmt, res.Affected)
+					}
+				}
+			}
+		})
+	}
+}
+
+// rowUpdatePair returns an UPDATE that sets the last column of t's first
+// row to a marker value, addressed by a full-row match, and the UPDATE
+// that restores it.
+func rowUpdatePair(t *rel.Table) (do, undo string) {
+	cols := t.Columns()
+	match := func(row []rel.Value) string {
+		parts := make([]string, len(cols))
+		for j, c := range cols {
+			if row[j].IsNull() {
+				parts[j] = c + " IS NULL"
+			} else {
+				parts[j] = c + " = " + row[j].Quoted()
+			}
+		}
+		return strings.Join(parts, " AND ")
+	}
+	row := make([]rel.Value, len(cols))
+	for j := range cols {
+		row[j] = t.At(0, j)
+	}
+	last := len(cols) - 1
+	changed := append([]rel.Value(nil), row...)
+	changed[last] = rel.S("bench-marker")
+	do = "UPDATE " + t.Name() + " SET " + cols[last] + " = " + changed[last].Quoted() + " WHERE " + match(row)
+	undo = "UPDATE " + t.Name() + " SET " + cols[last] + " = " + row[last].Quoted() + " WHERE " + match(changed)
+	return do, undo
 }
 
 // Allocation regression gate: PR 3 measured 3,070 allocs/op; the hash

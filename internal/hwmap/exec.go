@@ -19,51 +19,35 @@ type Controller struct {
 }
 
 // implLookup matches one implementation table the way the hardware does: a
-// TCAM-style ternary match in which a NULL input cell is a dontcare (§3:
-// the NULL value "helps in optimal mapping of tables to hardware"). Rows
-// are bucketed by the incoming message; the most specific matching row
-// (fewest dontcares) wins.
+// TCAM-style ternary match (rel.Ternary) in which a NULL input cell is a
+// dontcare (§3: the NULL value "helps in optimal mapping of tables to
+// hardware"). Rows are bucketed by the incoming message; the most specific
+// matching row (fewest dontcares) wins.
 type implLookup struct {
-	name    string
 	outCols []string
-	inIdx   []int
 	outIdx  []int
 	tab     *rel.Table
-	// inCodes holds the input columns as zero-copy dictionary-code vectors
-	// so the ternary match is integer compares. byMsg stays keyed by
-	// Str() — S("") and NULL collide under it, and that looseness is part
-	// of the matcher's observed behaviour.
-	inCodes [][]uint32
-	byMsg   map[string][]int
+	m       *rel.Ternary
 }
 
-// noCode marks an input value absent from the dictionary: no table cell
-// can equal it, so it never matches a non-dontcare cell.
-const noCode = ^uint32(0)
-
 func newImplLookup(t *rel.Table) (*implLookup, error) {
-	l := &implLookup{name: t.Name(), tab: t, byMsg: make(map[string][]int)}
-	l.inIdx = make([]int, len(edInputCols))
-	l.inCodes = make([][]uint32, len(edInputCols))
+	m, err := rel.NewTernary(t, edInputCols...)
+	if err != nil {
+		return nil, fmt.Errorf("hwmap: implementation table: %w", err)
+	}
+	l := &implLookup{tab: t, m: m}
+	inIdx := make([]int, len(edInputCols))
 	for i, c := range edInputCols {
-		j := t.ColIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("hwmap: implementation table %q lacks input %q", t.Name(), c)
-		}
-		l.inIdx[i] = j
-		l.inCodes[i] = t.ColCodes(j)
+		inIdx[i] = t.ColIndex(c)
 	}
 	l.outCols = t.Columns()[len(edInputCols):]
 	l.outIdx = make([]int, len(l.outCols))
 	for i, c := range l.outCols {
 		l.outIdx[i] = t.ColIndex(c)
 	}
-	msgIdx := t.ColIndex("inmsg")
 	exact := map[string]int{}
 	for r := 0; r < t.NumRows(); r++ {
-		msg := t.At(r, msgIdx).Str()
-		l.byMsg[msg] = append(l.byMsg[msg], r)
-		key := t.RowKey(r, l.inIdx)
+		key := t.RowKey(r, inIdx)
 		if prev, dup := exact[key]; dup {
 			same := true
 			for _, j := range l.outIdx {
@@ -83,38 +67,9 @@ func newImplLookup(t *rel.Table) (*implLookup, error) {
 }
 
 // match finds the most specific row matching the inputs (NULL row cells are
-// dontcares) and returns its outputs. The inputs encode once through a
-// read-only dictionary probe; candidate rows then score with integer
-// compares against the column code vectors.
+// dontcares) and returns its outputs.
 func (l *implLookup) match(inputs map[string]rel.Value) ([]rel.Value, bool) {
-	d := l.tab.Dict()
-	bcodes := make([]uint32, len(l.inIdx))
-	for i := range l.inIdx {
-		if c, ok := d.LookupCode(inputs[edInputCols[i]]); ok {
-			bcodes[i] = c
-		} else {
-			bcodes[i] = noCode
-		}
-	}
-	best, bestScore := -1, -1
-	for _, r := range l.byMsg[inputs["inmsg"].Str()] {
-		score := 0
-		ok := true
-		for i := range l.inIdx {
-			want := l.inCodes[i][r]
-			if want == rel.NullCode {
-				continue
-			}
-			if want != bcodes[i] {
-				ok = false
-				break
-			}
-			score++
-		}
-		if ok && score > bestScore {
-			best, bestScore = r, score
-		}
-	}
+	best := l.m.Match(inputs)
 	if best < 0 {
 		return nil, false
 	}

@@ -29,12 +29,12 @@ import (
 // thread-safe, so concurrent encoders each passing their own dst are
 // fine.
 type StateCodec struct {
-	dict  *rel.Dict
-	chans []string
-	addrs []Addr
+	dict    *rel.Dict
+	chans   []string
+	addrs   []Addr
 	addrIdx map[Addr]int
-	nodes int
-	width int
+	nodes   int
+	width   int
 
 	// Column layout: [channels][dir per addr][busy per addr] then per
 	// node: [cache per addr][mshr per addr][script][outstanding per addr].

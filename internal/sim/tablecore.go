@@ -7,85 +7,32 @@ import (
 )
 
 // tableCore executes a controller table: given a binding of input columns,
-// it finds the matching row. A NULL in an input column of a row is a
-// dontcare and matches anything; the most specific matching row (fewest
-// dontcares among bound inputs) wins, which resolves the overlap between
-// the concrete interleaving rows and dontcare retry rows.
+// it finds the matching row through a rel.Ternary. A NULL in an input
+// column of a row is a dontcare and matches anything; the most specific
+// matching row (fewest dontcares among bound inputs) wins, which resolves
+// the overlap between the concrete interleaving rows and dontcare retry
+// rows.
 type tableCore struct {
-	tab    *rel.Table
-	inCols []string
-	inIdx  []int
-	// inCodes holds the table's input columns as zero-copy dictionary-code
-	// vectors, so matching is pure uint32 compares against the pre-encoded
-	// binding.
-	inCodes [][]uint32
-	// index on the first input column (typically inmsg) to avoid scanning
-	// the whole table for every lookup. Keyed by Str(), not code: S("")
-	// and NULL collide under Str(), and that looseness is part of the
-	// matcher's observed behaviour.
-	byFirst map[string][]int
+	tab *rel.Table
+	m   *rel.Ternary
 	// hits, when set, is incremented on every successful match — wired to
 	// the owning System's Stats.Transitions.
 	hits *int
 }
 
-// noCode marks a binding value absent from the dictionary: no table cell
-// can equal it, so it never matches a non-dontcare cell.
-const noCode = ^uint32(0)
-
 func newTableCore(tab *rel.Table, inCols []string) (*tableCore, error) {
-	tc := &tableCore{tab: tab, inCols: inCols, byFirst: make(map[string][]int)}
-	for _, c := range inCols {
-		j := tab.ColIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("sim: table %q lacks input column %q", tab.Name(), c)
-		}
-		tc.inIdx = append(tc.inIdx, j)
-		tc.inCodes = append(tc.inCodes, tab.ColCodes(j))
+	m, err := rel.NewTernary(tab, inCols...)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	for i := 0; i < tab.NumRows(); i++ {
-		k := tab.At(i, tc.inIdx[0]).Str()
-		tc.byFirst[k] = append(tc.byFirst[k], i)
-	}
-	return tc, nil
+	return &tableCore{tab: tab, m: m}, nil
 }
 
 // match finds the most specific row matching the binding. The binding maps
 // input column names to concrete values; a missing binding entry is treated
-// as NULL. The binding is encoded once (a read-only dictionary probe — a
-// value the dictionary has never seen cannot match any cell), then every
-// candidate row is scored with integer compares.
+// as NULL.
 func (tc *tableCore) match(binding map[string]rel.Value) (rel.Row, bool) {
-	d := tc.tab.Dict()
-	bcodes := make([]uint32, len(tc.inCols))
-	for k, name := range tc.inCols {
-		if c, ok := d.LookupCode(binding[name]); ok {
-			bcodes[k] = c
-		} else {
-			bcodes[k] = noCode
-		}
-	}
-	best := -1
-	bestScore := -1
-	for _, i := range tc.byFirst[binding[tc.inCols[0]].Str()] {
-		score := 0
-		ok := true
-		for k := range tc.inIdx {
-			want := tc.inCodes[k][i]
-			if want == rel.NullCode {
-				continue // dontcare
-			}
-			if want != bcodes[k] {
-				ok = false
-				break
-			}
-			score++
-		}
-		if ok && score > bestScore {
-			bestScore = score
-			best = i
-		}
-	}
+	best := tc.m.Match(binding)
 	if best < 0 {
 		return rel.Row{}, false
 	}

@@ -98,7 +98,7 @@ func TestExplainAnalyzeParallelScan(t *testing.T) {
 	checkAnalyze(t, db,
 		`EXPLAIN ANALYZE SELECT id, val FROM T WHERE val > 50 AND flag IS NOT NULL`,
 		[]string{
-			`scan|T|23|pushdown: (val > 50) AND (flag IS NOT NULL); eval=vectorized; storage=columnar; sel_density=0.36 vec_batches=8; morsels=8 steals=S`,
+			`scan|T|23|pushdown: (val > 50) AND (flag IS NOT NULL); storage=columnar; sel_density=0.36 vec_batches=8; morsels=8 steals=S`,
 			`project||23|`,
 		})
 }

@@ -22,11 +22,12 @@ import (
 //
 // Equality, IN membership and IS NULL specialize to integer compares
 // against codes interned at compile time; only ordered comparisons and
-// function calls decode values. Two forms are built on these closures:
-// CodePred (CompileBoundCodes), the executor's row-at-a-time filter for
-// conjuncts the vectorizer declines, and SweepProg (CompileSweepVec,
-// sweepvec.go), whose broadcast and fallback nodes are scalar closures.
-// Both agree with Evaluator.True, the single reference semantics.
+// function calls decode values. The closures are the building block of
+// the two compiled forms: VecPred (CompileBoundVec, vectorize.go), the
+// executor's filter, whose fallback kernels run them per lane, and
+// SweepProg (CompileSweepVec, sweepvec.go), the solver's, whose broadcast
+// and fallback nodes are scalar closures. Both agree with Evaluator.True,
+// the single reference semantics.
 //
 // Compiled closures close over immutable compile-time state only; all
 // mutable evaluation state lives in per-worker Instances, so one program
@@ -36,13 +37,6 @@ import (
 // kernels intern their literals through it at compile time and compare
 // codes at evaluation time.
 var dict = rel.SharedDict()
-
-// CodePred is a compiled boolean condition over a dictionary-code row: it
-// reports whether the expression is definitely true (WHERE semantics),
-// exactly as Evaluator.True would on the decoded row. Referenced positions
-// beyond len(crow) return ErrUnknownColumn. A CodePred is safe for
-// concurrent use.
-type CodePred func(crow []uint32) (bool, error)
 
 // valFn is a compiled expression node producing a value.
 type valFn func(in *Instance, crow []uint32) (rel.Value, error)
@@ -73,39 +67,14 @@ type Instance struct {
 func (in *Instance) NextRow() { in.gen++ }
 
 // errUnboundCol marks an expression the query planner could not fully
-// bind to row positions; CompileBoundCodes callers fall back to
+// bind to row positions; CompileBoundVec callers fall back to
 // interpreted evaluation, whose name resolution reports the identical
 // unknown-column or ambiguity errors the unplanned path always produced.
 var errUnboundCol = errors.New("sqlmini: expression not fully plan-bound")
 
-// CompileBoundCodes lowers a plan-bound expression — one whose column
-// references bindExpr already replaced with boundCol positions — into a
-// CodePred over the frame's code rows: the form the executor's morsel
-// filter loops and hash-join residues evaluate. The planner binds once,
-// and the per-row filter loop then runs specialized closures instead of
-// walking the AST through an Env. Any remaining bare Col (unknown or
-// ambiguous at plan time) aborts compilation with errUnboundCol.
-//
-// The NULL dialect and function registry are captured at compile time, so
-// compiled plans are cached per dialect (see planEntry) and invalidated
-// when a function is registered.
-func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
-	c := &compiler{ev: ev, sweep: -1, bound: true}
-	root, _, err := c.bool(e)
-	if err != nil {
-		return nil, err
-	}
-	// No sweep column means no cache slots, so the nil Instance is never
-	// dereferenced.
-	return func(crow []uint32) (bool, error) {
-		t, err := root(nil, crow)
-		return t == triTrue, err
-	}, nil
-}
-
 // compiler carries compile-time state: the column binding, the sweep
 // column (-1 when absent), the cache-slot counters, and whether column
-// references resolve through pre-bound positions (CompileBoundCodes) or
+// references resolve through pre-bound positions (CompileBoundVec) or
 // the name index (CompileSweepVec).
 type compiler struct {
 	ev       *Evaluator

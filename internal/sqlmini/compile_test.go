@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"coherdb/internal/rel"
@@ -73,7 +74,7 @@ func forEachFixtureRow(fn func(row []rel.Value)) {
 }
 
 // fixtureFrame is the compileFixtureCols layout as a plan frame, so
-// bindExpr can bind fixture expressions for CompileBoundCodes.
+// bindExpr can bind fixture expressions for CompileBoundVec.
 func fixtureFrame() *frame {
 	return &frame{aliases: []string{"t", "t", "t"}, names: []string{"a", "b", "c"}}
 }
@@ -87,10 +88,21 @@ func encodeRow(row []rel.Value) []uint32 {
 	return crow
 }
 
+// vecTrue evaluates a VecPred on one code row: a one-lane selection over
+// one-element column vectors.
+func vecTrue(vp *VecPred, crow []uint32) (bool, error) {
+	cols := make([][]uint32, len(crow))
+	for j, c := range crow {
+		cols[j] = []uint32{c}
+	}
+	kept, err := vp.EvalVec(cols, []uint32{0})
+	return len(kept) == 1, err
+}
+
 // TestCompileAgreesWithInterpreter is the golden equivalence property of
-// the row-at-a-time compiled form at unit level: over every operator form,
-// dialect and 3-column env, CompileBoundCodes and Evaluator.True agree
-// exactly.
+// the executor's compiled form at unit level: over every operator form,
+// dialect and 3-column env, CompileBoundVec and Evaluator.True agree
+// exactly, errors included.
 func TestCompileAgreesWithInterpreter(t *testing.T) {
 	for _, nullEq := range []bool{false, true} {
 		ev := fixtureEvaluator(nullEq)
@@ -99,13 +111,13 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			pred, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame()))
+			pred, err := ev.CompileBoundVec(bindExpr(e, fixtureFrame()))
 			if err != nil {
 				t.Fatalf("compile %q: %v", src, err)
 			}
 			forEachFixtureRow(func(row []rel.Value) {
 				want, werr := ev.True(e, compileFixtureEnv(row))
-				got, gerr := pred(encodeRow(row))
+				got, gerr := vecTrue(pred, encodeRow(row))
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%q (nullEq=%v) on %v: interpreter err %v, compiled err %v",
 						src, nullEq, row, werr, gerr)
@@ -195,36 +207,47 @@ func TestCompileUnknownFuncIsCompileTimeError(t *testing.T) {
 			t.Fatalf("sweep %d: err = %v, want ErrUnknownFunc", sweep, err)
 		}
 	}
-	if _, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame())); !errors.Is(err, ErrUnknownFunc) {
+	if _, err := ev.CompileBoundVec(bindExpr(e, fixtureFrame())); !errors.Is(err, ErrUnknownFunc) {
 		t.Fatalf("bound: err = %v, want ErrUnknownFunc", err)
 	}
 }
 
+// TestCompiledPredShortRowErrors: a compiled filter whose kernels read
+// past the frame's columns (a plan from another schema) must not run; the
+// frame falls back to the interpreter, which reports the unknown column.
 func TestCompiledPredShortRowErrors(t *testing.T) {
 	ev := fixtureEvaluator(true)
 	e, err := ParseExpr(`c = "p"`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame()))
+	bound := bindExpr(e, fixtureFrame())
+	vp, err := ev.CompileBoundVec(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pred(encodeRow([]rel.Value{rel.S("p")})); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("err = %v, want ErrUnknownColumn for out-of-range position", err)
+	r := &run{ev: *ev}
+	short := &frame{aliases: []string{"t"}, names: []string{"a"}, rows: [][]uint32{encodeRow([]rel.Value{rel.S("p")})}}
+	if _, err := r.filterFrame(short, []Expr{bound}, []*VecPred{vp}); !errors.Is(err, ErrUnknownColumn) {
+		t.Fatalf("err = %v, want ErrUnknownColumn from the interpreter", err)
+	}
+	if vecUsable([]*VecPred{vp}, 1, len(short.names)) {
+		t.Fatal("a kernel reading position 2 was usable on a 1-column frame")
 	}
 }
 
 // TestCompiledPredConcurrentUse runs one compiled predicate from many
-// goroutines; it must be safe because all mutable state lives in per-worker
-// Instances (and a CodePred has none). Meant for -race runs.
+// goroutines; it must be safe because all mutable evaluation state lives
+// in pooled per-call vecStates. The predicate reads two columns, so it
+// runs the per-lane fallback through the shared scratch-row pool. Meant
+// for -race runs.
 func TestCompiledPredConcurrentUse(t *testing.T) {
 	ev := fixtureEvaluator(true)
 	e, err := ParseExpr(`a = "p" ? b = "q" : b in ("q", "r")`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.CompileBoundCodes(bindExpr(e, fixtureFrame()))
+	pred, err := ev.CompileBoundVec(bindExpr(e, fixtureFrame()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +256,8 @@ func TestCompiledPredConcurrentUse(t *testing.T) {
 		go func() {
 			for i := 0; i < 1000; i++ {
 				row := encodeRow([]rel.Value{rel.S("p"), rel.S("q"), fixtureDomain[i%len(fixtureDomain)]})
-				if ok, err := pred(row); err != nil || !ok {
-					done <- err
+				if ok, err := vecTrue(pred, row); err != nil || !ok {
+					done <- fmt.Errorf("row %d: kept=%v err=%v", i, ok, err)
 					return
 				}
 			}

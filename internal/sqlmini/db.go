@@ -66,10 +66,6 @@ type DB struct {
 	exec    *pool.Pool
 	workers int
 	morsel  int
-	// vectorized enables the column-at-a-time scan path. It is always on
-	// outside tests, which turn it off to compare against row-at-a-time
-	// filter evaluation (see export_test.go).
-	vectorized bool
 
 	// statsMu guards the aggregate stats separately, so folding a
 	// read-only statement's stats does not serialize concurrent readers.
@@ -97,7 +93,6 @@ type execCfg struct {
 	exec     *pool.Pool
 	workers  int
 	morsel   int
-	vec      bool
 }
 
 func (db *DB) snapshotCfg() execCfg {
@@ -105,7 +100,7 @@ func (db *DB) snapshotCfg() execCfg {
 	defer db.cfgMu.RUnlock()
 	return execCfg{
 		ev: db.eval, tracer: db.tracer, metrics: db.metrics, queryLog: db.queryLog,
-		exec: db.exec, workers: db.workers, morsel: db.morsel, vec: db.vectorized,
+		exec: db.exec, workers: db.workers, morsel: db.morsel,
 	}
 }
 
@@ -136,7 +131,6 @@ type run struct {
 	pool    *pool.Pool
 	workers int
 	morsel  int
-	vec     bool
 }
 
 // table resolves a name as this statement sees it: the session overlay
@@ -318,11 +312,10 @@ func (w *catWrite) build(base *rel.Catalog) *rel.Catalog {
 // (typename, coalesce2) pre-installed.
 func NewDB() *DB {
 	db := &DB{
-		eval:       Evaluator{Funcs: make(map[string]Func), NullEq: true},
-		plans:      make(map[planKey]*planEntry),
-		exec:       pool.Shared(),
-		morsel:     DefaultMorselSize,
-		vectorized: true,
+		eval:   Evaluator{Funcs: make(map[string]Func), NullEq: true},
+		plans:  make(map[planKey]*planEntry),
+		exec:   pool.Shared(),
+		morsel: DefaultMorselSize,
 	}
 	db.eval.Funcs["typename"] = func(args []rel.Value) (rel.Value, error) {
 		if len(args) != 1 {
@@ -671,7 +664,7 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 	r := &run{
 		db: db, cat: cat, sess: o.sess, overlay: overlay, ev: ev, qs: qs,
 		entry: o.entry, fp: sessionFP(cat, o.sess),
-		pool: cfg.exec, workers: cfg.workers, morsel: cfg.morsel, vec: cfg.vec,
+		pool: cfg.exec, workers: cfg.workers, morsel: cfg.morsel,
 	}
 	if shared {
 		r.write = newCatWrite(cat)
@@ -901,15 +894,15 @@ func (r *run) execDelete(s *DeleteStmt) (*Result, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, s.Table)
 	}
 	r.qs.addScanned(t.NumRows())
+	where := splitAnd(s.Where)
+	env := &rowEnv{} // one Env for the whole scan, not one per row
 	var evalErr error
 	n := t.DeleteWhere(func(row rel.Row) bool {
 		if evalErr != nil {
 			return false
 		}
-		if s.Where == nil {
-			return true
-		}
-		ok, err := r.ev.True(s.Where, rowEnv{row: row})
+		env.row = row
+		ok, err := r.ev.allTrue(where, env)
 		if err != nil {
 			evalErr = err
 			return false
@@ -933,17 +926,17 @@ func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 		}
 	}
 	r.qs.addScanned(t.NumRows())
+	where := splitAnd(s.Where)
+	env := &rowEnv{} // one Env for the whole scan, not one per row
 	n := 0
 	for i := 0; i < t.NumRows(); i++ {
-		env := rowEnv{row: t.Row(i)}
-		if s.Where != nil {
-			ok, err := r.ev.True(s.Where, env)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		env.row = t.Row(i)
+		ok, err := r.ev.allTrue(where, env)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
 		}
 		// Evaluate all RHS before assigning, so SET a=b, b=a swaps.
 		vals := make([]rel.Value, len(s.Exprs))

@@ -172,6 +172,26 @@ func (ev *Evaluator) Eval(e Expr, env Env) (rel.Value, error) {
 	}
 }
 
+// allTrue reports whether every conjunct is definitely true, evaluating
+// the list exactly as Bool evaluates its AND chain: in order, stopping at
+// the first false, continuing past unknown, and returning the first
+// error. Callers split a WHERE once (splitAnd) instead of descending the
+// AND tree's spine for every row.
+func (ev *Evaluator) allTrue(conjuncts []Expr, env Env) (bool, error) {
+	all := true
+	for _, c := range conjuncts {
+		t, err := ev.Bool(c, env)
+		if err != nil {
+			return false, err
+		}
+		if t == triFalse {
+			return false, nil
+		}
+		all = all && t == triTrue
+	}
+	return all, nil
+}
+
 // Bool evaluates e as a condition, returning three-valued truth.
 func (ev *Evaluator) Bool(e Expr, env Env) (tri, error) {
 	// Short-circuit AND/OR with Kleene logic directly so that unknown
@@ -356,42 +376,52 @@ func collectCols(e Expr, out map[string]struct{}) {
 
 // eachCol calls fn for every column reference in e.
 func eachCol(e Expr, fn func(Col)) {
+	visit(e, func(n Expr) {
+		switch x := n.(type) {
+		case Col:
+			fn(x)
+		case boundCol:
+			fn(x.Col)
+		}
+	})
+}
+
+// visit calls fn for e and then for each of its subexpressions, in
+// source order.
+func visit(e Expr, fn func(Expr)) {
+	fn(e)
 	switch x := e.(type) {
-	case Col:
-		fn(x)
-	case boundCol:
-		fn(x.Col)
 	case Unary:
-		eachCol(x.X, fn)
+		visit(x.X, fn)
 	case Binary:
-		eachCol(x.L, fn)
-		eachCol(x.R, fn)
+		visit(x.L, fn)
+		visit(x.R, fn)
 	case InList:
-		eachCol(x.X, fn)
+		visit(x.X, fn)
 		for _, s := range x.Set {
-			eachCol(s, fn)
+			visit(s, fn)
 		}
 	case IsNull:
-		eachCol(x.X, fn)
+		visit(x.X, fn)
 	case Between:
-		eachCol(x.X, fn)
-		eachCol(x.Lo, fn)
-		eachCol(x.Hi, fn)
+		visit(x.X, fn)
+		visit(x.Lo, fn)
+		visit(x.Hi, fn)
 	case Ternary:
-		eachCol(x.Cond, fn)
-		eachCol(x.Then, fn)
-		eachCol(x.Else, fn)
+		visit(x.Cond, fn)
+		visit(x.Then, fn)
+		visit(x.Else, fn)
 	case Case:
 		for _, w := range x.Whens {
-			eachCol(w.Cond, fn)
-			eachCol(w.Val, fn)
+			visit(w.Cond, fn)
+			visit(w.Val, fn)
 		}
 		if x.Else != nil {
-			eachCol(x.Else, fn)
+			visit(x.Else, fn)
 		}
 	case Call:
 		for _, a := range x.Args {
-			eachCol(a, fn)
+			visit(a, fn)
 		}
 	}
 }

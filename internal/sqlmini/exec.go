@@ -235,12 +235,12 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 	}
 	// WHERE (residue after pushdown).
 	if plan != nil && plan.residue != nil {
-		conj, progs := plan.residueConjuncts()
+		conj, vecs := plan.residueConjuncts()
 		r.azBegin("filter", "")
 		if r.azTracks() {
 			r.azSet("", andString(conj))
 		}
-		filtered, err := r.filterFrame(f, conj, progs)
+		filtered, err := r.filterFrame(f, conj, vecs)
 		if err != nil {
 			return nil, err
 		}
@@ -461,15 +461,14 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 			r.qs.addIndexScan()
 			r.qs.addScanned(len(matched))
 			r.qs.addPushdown(len(sp.eqCols) + len(sp.filters))
-			vec := len(sp.filters) > 0 && r.vecUsable(t, sp)
 			if r.azTracks() {
 				detail := indexScanDetail(sp)
 				if len(sp.filters) > 0 {
-					detail += "; filter: " + andString(sp.filters) + evalDetail(vec)
+					detail += "; filter: " + andString(sp.filters)
 				}
 				r.azSet("indexscan", withStorage(detail))
 			}
-			if vec {
+			if vecUsable(sp.vecs, len(sp.filters), t.NumCols()) {
 				return r.vecScan(t, ref.Alias, matched, sp.vecs)
 			}
 			f := schemaFrame(t, ref.Alias)
@@ -479,7 +478,7 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 				f.rows[i] = crows[ri]
 			}
 			if len(sp.filters) > 0 {
-				return r.filterFrame(f, sp.filters, sp.progs)
+				return r.filterFrame(f, sp.filters, nil)
 			}
 			return f, nil
 		}
@@ -489,37 +488,24 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 		// slots no longer line up with the extended conjunct list, so this
 		// fallback is interpreted.
 		sp.filters = append(eqExprs(sp), sp.filters...)
-		sp.progs = nil
 		sp.vecs = nil
 	}
 	r.qs.addScanned(t.NumRows())
-	vec := len(sp.filters) > 0 && r.vecUsable(t, sp)
 	if r.azTracks() {
 		detail := ""
 		if len(sp.filters) > 0 {
-			detail = "pushdown: " + andString(sp.filters) + evalDetail(vec)
+			detail = "pushdown: " + andString(sp.filters)
 		}
 		r.azSet("scan", withStorage(detail))
 	}
-	if vec {
-		r.qs.addPushdown(len(sp.filters))
+	if len(sp.filters) == 0 {
+		return frameOf(t, ref.Alias), nil
+	}
+	r.qs.addPushdown(len(sp.filters))
+	if vecUsable(sp.vecs, len(sp.filters), t.NumCols()) {
 		return r.vecScan(t, ref.Alias, nil, sp.vecs)
 	}
-	f := frameOf(t, ref.Alias)
-	if len(sp.filters) > 0 {
-		r.qs.addPushdown(len(sp.filters))
-		return r.filterFrame(f, sp.filters, sp.progs)
-	}
-	return f, nil
-}
-
-// evalDetail renders the filter-evaluation mode annotation shared by
-// EXPLAIN and EXPLAIN ANALYZE scan steps.
-func evalDetail(vec bool) string {
-	if vec {
-		return "; eval=vectorized"
-	}
-	return "; eval=scalar"
+	return r.filterFrame(frameOf(t, ref.Alias), sp.filters, nil)
 }
 
 // execGrouped evaluates a GROUP BY query: rows are bucketed by the group
@@ -686,13 +672,19 @@ func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
 	return out, nil
 }
 
+// isAgg reports whether name is one of the aggregate calls the parser
+// produces (COUNT(*), MIN, MAX).
+func isAgg(name string) bool {
+	return name == "count_star" || name == "agg_min" || name == "agg_max"
+}
+
 // containsAgg reports whether e contains an aggregate call, so rewriteAggs
 // can return aggregate-free subtrees unchanged instead of copying them for
 // every group.
 func containsAgg(e Expr) bool {
 	switch x := e.(type) {
 	case Call:
-		if x.Name == "count_star" || x.Name == "agg_min" || x.Name == "agg_max" {
+		if isAgg(x.Name) {
 			return true
 		}
 		for _, a := range x.Args {
@@ -915,7 +907,7 @@ func hasAggregates(items []SelectItem) bool {
 	walk = func(e Expr) bool {
 		switch x := e.(type) {
 		case Call:
-			if x.Name == "count_star" || x.Name == "agg_min" || x.Name == "agg_max" {
+			if isAgg(x.Name) {
 				return true
 			}
 			for _, a := range x.Args {
@@ -989,69 +981,39 @@ func projection(items []SelectItem, f *frame) ([]string, []Expr, error) {
 	return cols, exprs, nil
 }
 
-// filterFrame keeps the rows satisfying every conjunct. progs carries the
-// compiled form of each conjunct (a nil slice or nil slot falls back to
-// the tree-walking interpreter, preserving its exact error reporting).
-// When every conjunct compiled and the input spans at least two morsels,
-// the scan runs on the worker pool; kept rows merge in input order, so
-// the parallel result is byte-identical to the serial scan's.
-func (r *run) filterFrame(f *frame, conjuncts []Expr, progs []CodePred) (*frame, error) {
+// filterFrame keeps the rows satisfying every conjunct. vecs carries the
+// compiled form of each conjunct; when all of them compiled for the
+// frame's layout they run column-at-a-time (vecFrame), serially or in
+// morsels, and otherwise the whole filter runs on the interpreter, which
+// reports unknown columns and functions exactly as the unplanned path
+// does. Kept rows stay in input order either way.
+func (r *run) filterFrame(f *frame, conjuncts []Expr, vecs []*VecPred) (*frame, error) {
 	r.qs.phase(obs.PhaseFilter)
-	compiled := len(progs) == len(conjuncts)
-	if compiled {
-		for _, p := range progs {
-			if p == nil {
-				compiled = false
-				break
-			}
-		}
+	// Same schema, so the resolution memo carries over.
+	out := &frame{aliases: f.aliases, names: f.names, memo: f.memo}
+	if len(f.rows) == 0 {
+		return out, nil
 	}
-	if compiled {
-		if kept, ran, err := r.parallelFilter(f.rows, progs); ran {
-			if err != nil {
-				return nil, err
-			}
-			return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
+	if vecUsable(vecs, len(conjuncts), len(f.names)) {
+		rows, err := r.vecFrame(f, vecs)
+		if err != nil {
+			return nil, err
 		}
-		kept := f.rows[:0:0]
-		for _, row := range f.rows {
-			keep, err := evalPreds(progs, row)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				kept = append(kept, row)
-			}
-		}
-		return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
+		out.rows = rows
+		return out, nil
 	}
-	kept := f.rows[:0:0]
 	env := &frameEnv{f: f}
 	for _, row := range f.rows {
 		env.row = row
-		ok := true
-		for i, c := range conjuncts {
-			var t bool
-			var err error
-			if i < len(progs) && progs[i] != nil {
-				t, err = progs[i](row)
-			} else {
-				t, err = r.ev.True(c, env)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if !t {
-				ok = false
-				break
-			}
+		ok, err := r.ev.allTrue(conjuncts, env)
+		if err != nil {
+			return nil, err
 		}
 		if ok {
-			kept = append(kept, row)
+			out.rows = append(out.rows, row)
 		}
 	}
-	// Same schema, so the resolution memo carries over.
-	return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
+	return out, nil
 }
 
 // schemaFrame builds a rowless frame carrying only a table's column
@@ -1060,54 +1022,14 @@ func schemaFrame(t *rel.Table, alias string) *frame {
 	if alias == "" {
 		alias = t.Name()
 	}
-	f := &frame{}
-	for _, c := range t.Columns() {
-		f.aliases = append(f.aliases, alias)
-		f.names = append(f.names, c)
+	// Frames never mutate their schema, so names shares the table's
+	// column list instead of copying it per scan.
+	names := t.ColumnsRef()
+	aliases := make([]string, len(names))
+	for i := range aliases {
+		aliases[i] = alias
 	}
-	return f
-}
-
-// colRefs collects every column reference in an expression.
-func colRefs(e Expr, out *[]Col) {
-	switch x := e.(type) {
-	case Col:
-		*out = append(*out, x)
-	case boundCol:
-		*out = append(*out, x.Col)
-	case Unary:
-		colRefs(x.X, out)
-	case Binary:
-		colRefs(x.L, out)
-		colRefs(x.R, out)
-	case InList:
-		colRefs(x.X, out)
-		for _, s := range x.Set {
-			colRefs(s, out)
-		}
-	case IsNull:
-		colRefs(x.X, out)
-	case Between:
-		colRefs(x.X, out)
-		colRefs(x.Lo, out)
-		colRefs(x.Hi, out)
-	case Ternary:
-		colRefs(x.Cond, out)
-		colRefs(x.Then, out)
-		colRefs(x.Else, out)
-	case Case:
-		for _, w := range x.Whens {
-			colRefs(w.Cond, out)
-			colRefs(w.Val, out)
-		}
-		if x.Else != nil {
-			colRefs(x.Else, out)
-		}
-	case Call:
-		for _, a := range x.Args {
-			colRefs(a, out)
-		}
-	}
+	return &frame{aliases: aliases, names: names}
 }
 
 // selectSources lists the schema frames of a SELECT's table sources in
@@ -1394,11 +1316,18 @@ func emitMatchSet(out *frame, f, g *frame, ms matchSet) {
 	}
 }
 
-func splitAnd(e Expr) []Expr {
+// splitAnd flattens an AND tree into its conjuncts, left to right; a nil
+// WHERE has none.
+func splitAnd(e Expr) []Expr { return appendConjuncts(nil, e) }
+
+func appendConjuncts(out []Expr, e Expr) []Expr {
 	if b, ok := e.(Binary); ok && b.Op == "AND" {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
+		return appendConjuncts(appendConjuncts(out, b.L), b.R)
 	}
-	return []Expr{e}
+	if e == nil {
+		return out
+	}
+	return append(out, e)
 }
 
 // rowKeyOf encodes a code row as a fixed-width injective key: 4 bytes per

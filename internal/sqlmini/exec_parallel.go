@@ -12,9 +12,10 @@ import (
 // Because batch k always covers rows [k*morsel, (k+1)*morsel), the merged
 // output is byte-identical to the serial scan regardless of worker count
 // or scheduling — the determinism guarantee the golden equivalence tests
-// pin down. Parallel phases evaluate only compiled predicates (CodePred),
-// which are safe for concurrent use; the tree-walking interpreter touches
-// the frame's resolution memo and therefore always runs serially.
+// pin down. Parallel filters evaluate only compiled predicates (VecPred,
+// see exec_vec.go), which are safe for concurrent use; the tree-walking
+// interpreter touches the frame's resolution memo and therefore always
+// runs serially.
 //
 // All row traffic here is dictionary codes: join keys are 4 bytes per
 // column, partition selection hashes those bytes, and no rel.Value is
@@ -69,18 +70,6 @@ func (a *codeArena) joinRow(l, r []uint32) []uint32 {
 	return row
 }
 
-// evalPreds evaluates compiled conjuncts over one code row with WHERE
-// short-circuiting: the first false or erroring conjunct decides.
-func evalPreds(progs []CodePred, crow []uint32) (bool, error) {
-	for _, p := range progs {
-		ok, err := p(crow)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // mergeParts concatenates per-morsel row buffers in batch order — the
 // stable merge that keeps parallel output identical to the serial scan.
 func mergeParts(parts [][][]uint32) [][]uint32 {
@@ -93,36 +82,6 @@ func mergeParts(parts [][][]uint32) [][]uint32 {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// parallelFilter runs the compiled filter over morsels of rows on the
-// pool. ran reports whether the parallel path was taken; when it is false
-// the caller falls back to the serial scan.
-func (r *run) parallelFilter(rows [][]uint32, progs []CodePred) (kept [][]uint32, ran bool, err error) {
-	p, workers, morsel := r.parallel(len(rows))
-	if p == nil {
-		return nil, false, nil
-	}
-	parts := make([][][]uint32, pool.Batches(len(rows), morsel))
-	st, err := p.Each(workers, len(rows), morsel, func(batch, lo, hi int) error {
-		part := make([][]uint32, 0, hi-lo)
-		for _, row := range rows[lo:hi] {
-			keep, err := evalPreds(progs, row)
-			if err != nil {
-				return err
-			}
-			if keep {
-				part = append(part, row)
-			}
-		}
-		parts[batch] = part
-		return nil
-	})
-	r.qs.addParallel(st)
-	if err != nil {
-		return nil, true, err
-	}
-	return mergeParts(parts), true, nil
 }
 
 // bucket is one hash-table entry: the build-side row numbers sharing a

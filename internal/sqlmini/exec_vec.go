@@ -8,20 +8,21 @@ import (
 	"coherdb/internal/rel"
 )
 
-// Column-at-a-time scan execution. When every pushed conjunct of a
-// source lowered to a VecPred (fullyVec), the scan skips row
-// materialization entirely: a pooled selection vector starts as the scan
-// domain (all row numbers, or the index lookup's matches), each kernel
-// filters it in place over the table's zero-copy column vectors, and
-// only the survivors are gathered into frame rows. Above the parallel
-// threshold the selection is dealt in morsel batches — each batch
-// compacts its own subrange in place, then the kept prefixes concatenate
-// in batch order, so the parallel selection is byte-identical to the
-// serial one (the same guarantee the row-at-a-time scan makes).
+// Column-at-a-time filter execution, the one compiled path for pushed
+// scan filters and post-join residues alike. A pooled selection vector
+// starts as the filter's domain, each VecPred filters it in place over
+// column vectors, and only the survivors are gathered into frame rows.
+// Scans read the table's zero-copy column vectors and never materialize
+// rejected rows; residues first gather just the columns their conjuncts
+// read out of the joined frame's rows. Above the parallel threshold the
+// selection is dealt in morsel batches — each batch compacts its own
+// subrange in place, then the kept prefixes concatenate in batch order,
+// so the parallel selection is byte-identical to the serial one.
 //
-// Selection vectors and the per-evaluation kernel scratch are pooled
-// (selPool here, VecPred.pool in vectorize.go), so the steady-state
-// vectorized filter allocates nothing — see TestVectorizedFilterAllocs.
+// Selection vectors, column directories, gathered columns and the
+// per-evaluation kernel scratch are pooled (selPool and colsPool here,
+// VecPred.pool in vectorize.go), so the steady-state filter allocates
+// only its output rows — see TestVectorizedFilterAllocs.
 
 // selVec is a pooled selection-vector buffer.
 type selVec struct{ s []uint32 }
@@ -37,32 +38,81 @@ func getSel(n int) *selVec {
 	return sv
 }
 
-// colsVec is a pooled column-vector directory.
-type colsVec struct{ c [][]uint32 }
+// colsVec is a pooled column-vector directory, indexed by column
+// position, plus the storage vecFrame gathers frame columns into.
+type colsVec struct {
+	c    [][]uint32
+	bufs [][]uint32
+}
 
 var colsPool = sync.Pool{New: func() any { return new(colsVec) }}
 
-// vecUsable reports whether the source's pushed filter can run column-at-
-// a-time over t: vectorization is on, every conjunct lowered, and every
-// kernel's column positions exist in the table (always true for plans
-// built against the current epoch; checked so a stale plan degrades to
-// the scalar path instead of faulting).
-func (r *run) vecUsable(t *rel.Table, sp srcPlan) bool {
-	if !r.vec || !fullyVec(sp.vecs, len(sp.filters)) {
+// getCols checks an empty directory of width ncols out of the pool.
+func getCols(ncols int) *colsVec {
+	cv := colsPool.Get().(*colsVec)
+	if cap(cv.c) < ncols {
+		cv.c = make([][]uint32, ncols)
+	}
+	cv.c = cv.c[:ncols]
+	return cv
+}
+
+// load fills the positions vecs read with col(p); every other slot stays
+// nil.
+func (cv *colsVec) load(vecs []*VecPred, col func(p int) []uint32) {
+	for _, vp := range vecs {
+		for _, p := range vp.reads {
+			if cv.c[p] == nil {
+				cv.c[p] = col(p)
+			}
+		}
+	}
+}
+
+// gather copies column p of rows into pooled buffer k.
+func (cv *colsVec) gather(k int, rows [][]uint32, p int) []uint32 {
+	if k == len(cv.bufs) {
+		cv.bufs = append(cv.bufs, nil)
+	}
+	b := cv.bufs[k]
+	if cap(b) < len(rows) {
+		b = make([]uint32, len(rows))
+		cv.bufs[k] = b
+	}
+	b = b[:len(rows)]
+	for i, row := range rows {
+		b[i] = row[p]
+	}
+	return b
+}
+
+// release clears the directory, so the pool never pins table storage,
+// and returns it with its gather buffers.
+func (cv *colsVec) release() {
+	clear(cv.c)
+	colsPool.Put(cv)
+}
+
+// vecUsable reports whether a filter can run column-at-a-time over a
+// relation of width ncols: every conjunct lowered, and every kernel's
+// column positions exist (always true for plans built against the
+// current epoch; checked so a stale plan degrades to the interpreter
+// instead of faulting).
+func vecUsable(vecs []*VecPred, n, ncols int) bool {
+	if !fullyVec(vecs, n) {
 		return false
 	}
-	for _, p := range sp.vecs {
-		if p.Width() > t.NumCols() {
+	for _, p := range vecs {
+		if p.Width() > ncols {
 			return false
 		}
 	}
 	return true
 }
 
-// vecScan runs the fully vectorized pushed filter over t's column
-// vectors and returns the frame of surviving rows. matched narrows the
-// scan domain to the index lookup's row numbers; nil means the whole
-// table.
+// vecScan runs the pushed filter over t's column vectors and returns the
+// frame of surviving rows. matched narrows the scan domain to the index
+// lookup's row numbers; nil means the whole table.
 func (r *run) vecScan(t *rel.Table, alias string, matched []int, vecs []*VecPred) (*frame, error) {
 	f := schemaFrame(t, alias)
 	n := t.NumRows()
@@ -70,6 +120,7 @@ func (r *run) vecScan(t *rel.Table, alias string, matched []int, vecs []*VecPred
 		n = len(matched)
 	}
 	sv := getSel(n)
+	defer selPool.Put(sv)
 	sel := sv.s[:n]
 	if matched != nil {
 		for i, ri := range matched {
@@ -80,40 +131,57 @@ func (r *run) vecScan(t *rel.Table, alias string, matched []int, vecs []*VecPred
 			sel[i] = uint32(i)
 		}
 	}
-	sel, err := r.vecFilter(t, sel, vecs)
+	cv := getCols(t.NumCols())
+	defer cv.release()
+	cv.load(vecs, t.ColCodes)
+	rows, err := r.vecRows(cv.c, sel, t.CodeRows(), vecs)
 	if err != nil {
-		selPool.Put(sv)
 		return nil, err
 	}
-	crows := t.CodeRows()
-	f.rows = make([][]uint32, len(sel))
-	for i, ri := range sel {
-		f.rows[i] = crows[ri]
-	}
-	selPool.Put(sv)
+	f.rows = rows
 	return f, nil
 }
 
-// vecFilter cascades the vectorized conjuncts over the selection,
-// serially or in morsel batches, returning the surviving prefix of sel.
-func (r *run) vecFilter(t *rel.Table, sel []uint32, vecs []*VecPred) ([]uint32, error) {
+// vecFrame runs a residue over the frame's rows: the columns the
+// conjuncts read are gathered into pooled buffers, then filtered exactly
+// as a scan's table columns are.
+func (r *run) vecFrame(f *frame, vecs []*VecPred) ([][]uint32, error) {
+	n := len(f.rows)
+	sv := getSel(n)
+	defer selPool.Put(sv)
+	sel := sv.s[:n]
+	for i := range sel {
+		sel[i] = uint32(i)
+	}
+	cv := getCols(len(f.names))
+	defer cv.release()
+	k := 0
+	cv.load(vecs, func(p int) []uint32 {
+		k++
+		return cv.gather(k-1, f.rows, p)
+	})
+	return r.vecRows(cv.c, sel, f.rows, vecs)
+}
+
+// vecRows filters sel — indices into both cols and rows — and returns
+// the rows that survive, in order.
+func (r *run) vecRows(cols [][]uint32, sel []uint32, rows [][]uint32, vecs []*VecPred) ([][]uint32, error) {
+	sel, err := r.vecFilter(cols, sel, vecs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]uint32, len(sel))
+	for i, ri := range sel {
+		out[i] = rows[ri]
+	}
+	return out, nil
+}
+
+// vecFilter cascades the compiled conjuncts over the selection, serially
+// or in morsel batches, returning the surviving prefix of sel.
+func (r *run) vecFilter(cols [][]uint32, sel []uint32, vecs []*VecPred) ([]uint32, error) {
 	r.qs.phase(obs.PhaseFilter)
 	n := len(sel)
-	ncols := t.NumCols()
-	cv := colsPool.Get().(*colsVec)
-	if cap(cv.c) < ncols {
-		cv.c = make([][]uint32, ncols)
-	}
-	cols := cv.c[:ncols]
-	for j := 0; j < ncols; j++ {
-		cols[j] = t.ColCodes(j)
-	}
-	defer func() {
-		for j := range cols {
-			cols[j] = nil // do not pin table storage from the pool
-		}
-		colsPool.Put(cv)
-	}()
 	p, workers, morsel := r.parallel(n)
 	if p == nil {
 		var err error

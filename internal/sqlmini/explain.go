@@ -31,21 +31,6 @@ func (r *run) parallelDetail(kind string, n int) string {
 	return fmt.Sprintf("parallel %s (workers=%d, morsel=%d)", kind, workers, morsel)
 }
 
-// fullyCompiled reports whether all n conjuncts lowered to compiled
-// predicates — the executor's other precondition for a parallel filter
-// (the tree-walking interpreter always runs serially).
-func fullyCompiled(progs []CodePred, n int) bool {
-	if n == 0 || len(progs) != n {
-		return false
-	}
-	for _, p := range progs {
-		if p == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // estFilter shrinks an estimate by one third per conjunct, never
 // estimating below one row for a non-empty input.
 func estFilter(est, conjuncts int) int {
@@ -206,9 +191,9 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			ix, ixErr := sc.t.IndexOn(sp.eqCols...)
 			if ixErr != nil {
 				// Mirrors the executor's fallback: the equalities run as
-				// ordinary pushed filters, interpreted (hence scalar).
+				// ordinary pushed filters, interpreted.
 				e = estFilter(e, len(sp.eqCols)+len(sp.filters))
-				err = planRow(out, "scan", sc.alias, e, withStorage("pushdown: "+andString(append(eqExprs(sp), sp.filters...))+evalDetail(false)))
+				err = planRow(out, "scan", sc.alias, e, withStorage("pushdown: "+andString(append(eqExprs(sp), sp.filters...))))
 				break
 			}
 			if e > 0 {
@@ -217,12 +202,12 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			detail := indexScanDetail(sp)
 			if len(sp.filters) > 0 {
 				e = estFilter(e, len(sp.filters))
-				detail += "; filter: " + andString(sp.filters) + evalDetail(r.vecUsable(sc.t, sp))
+				detail += "; filter: " + andString(sp.filters)
 			}
 			err = planRow(out, "indexscan", sc.alias, e, withStorage(detail))
 		case len(sp.filters) > 0:
-			detail := "pushdown: " + andString(sp.filters) + evalDetail(r.vecUsable(sc.t, sp))
-			if fullyCompiled(sp.progs, len(sp.filters)) {
+			detail := "pushdown: " + andString(sp.filters)
+			if vecUsable(sp.vecs, len(sp.filters), sc.t.NumCols()) {
 				if pd := r.parallelDetail("scan", sc.rows); pd != "" {
 					detail += "; " + pd
 				}
@@ -301,13 +286,13 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			names:   append(append([]string(nil), cum.names...), sc.fr.names...),
 		}
 	}
-	if err := checkCols(s, cum); err != nil {
+	if err := checkRefs(s, cum, r.ev.Funcs); err != nil {
 		return 0, err
 	}
 	if plan != nil && plan.residue != nil {
-		cs, progs := plan.residueConjuncts()
+		cs, vecs := plan.residueConjuncts()
 		detail := andString(cs)
-		if fullyCompiled(progs, len(cs)) {
+		if fullyVec(vecs, len(cs)) {
 			if pd := r.parallelDetail("filter", est); pd != "" {
 				detail += "; " + pd
 			}
@@ -348,39 +333,50 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 	return est, nil
 }
 
-// checkCols rejects a branch whose expressions name a column its sources
-// f (nil for a FROM-less SELECT) do not resolve, with the error executing
-// it raises. ORDER BY may also name an output column.
-func checkCols(s *SelectStmt, f *frame) error {
+// checkRefs rejects a branch whose expressions name a column its
+// sources f (nil for a FROM-less SELECT) do not resolve, or call a
+// function that is not registered, with the error executing it raises.
+// ORDER BY may also name an output column; the select list, HAVING and
+// ORDER BY may also use aggregates.
+func checkRefs(s *SelectStmt, f *frame, funcs map[string]Func) error {
 	if f == nil {
 		f = &frame{}
 	}
 	outputs, _, _ := projection(s.Items, f)
 	var err error
-	check := func(e Expr, orderBy bool) {
-		eachCol(e, func(c Col) {
-			if err != nil || f.resolve(c.Qualifier, c.Name) >= 0 ||
-				(orderBy && c.Qualifier == "" && slices.Contains(outputs, c.Name)) {
+	check := func(e Expr, orderBy, aggs bool) {
+		visit(e, func(n Expr) {
+			if err != nil {
 				return
 			}
-			err = fmt.Errorf("%w: %s", ErrUnknownColumn, c.String())
+			switch x := n.(type) {
+			case Col:
+				if f.resolve(x.Qualifier, x.Name) < 0 &&
+					!(orderBy && x.Qualifier == "" && slices.Contains(outputs, x.Name)) {
+					err = fmt.Errorf("%w: %s", ErrUnknownColumn, x.String())
+				}
+			case Call:
+				if _, ok := funcs[x.Name]; !ok && !(aggs && isAgg(x.Name)) {
+					err = fmt.Errorf("%w: %s", ErrUnknownFunc, x.Name)
+				}
+			}
 		})
 	}
 	for _, it := range s.Items {
 		if it.Expr != nil {
-			check(it.Expr, false)
+			check(it.Expr, false, true)
 		}
 	}
 	for _, j := range s.Joins {
-		check(j.On, false)
+		check(j.On, false, false)
 	}
-	check(s.Where, false)
+	check(s.Where, false, false)
 	for _, g := range s.GroupBy {
-		check(g, false)
+		check(g, false, false)
 	}
-	check(s.Having, false)
+	check(s.Having, false, true)
 	for _, k := range s.OrderBy {
-		check(k.Expr, true)
+		check(k.Expr, true, true)
 	}
 	return err
 }

@@ -133,25 +133,63 @@ func TestExplainAggregateWithoutGroup(t *testing.T) {
 
 func TestExplainEvalAnnotation(t *testing.T) {
 	db := newTestDB(t)
-	// A non-equality conjunct stays as a pushdown filter; with every
-	// conjunct lowered to a selection-vector kernel the plan advertises the
-	// column-at-a-time path, while a conjunct the vectorizer declines (it
-	// reads two columns) keeps the scan row-at-a-time.
+	// Every plan-bound conjunct compiles to a selection-vector kernel, so
+	// filters carry no evaluation-mode annotation: a conjunct reading two
+	// columns runs column-at-a-time like a single-column one, and EXPLAIN
+	// ANALYZE reports its selection density and batch count.
 	checkPlan(t, db,
 		`EXPLAIN SELECT * FROM D WHERE inmsg <> 'readex'`,
 		[]string{
-			`scan|D|2|pushdown: (inmsg <> 'readex'); eval=vectorized; storage=columnar`,
+			`scan|D|2|pushdown: (inmsg <> 'readex'); storage=columnar`,
 		})
 	checkPlan(t, db,
 		`EXPLAIN SELECT * FROM D WHERE dirst = 'SI' AND inmsg <> 'readex'`,
 		[]string{
-			`indexscan|D|1|index(dirst) = ('SI'); filter: (inmsg <> 'readex'); eval=vectorized; storage=columnar`,
+			`indexscan|D|1|index(dirst) = ('SI'); filter: (inmsg <> 'readex'); storage=columnar`,
 		})
-	checkPlan(t, db,
-		`EXPLAIN SELECT * FROM D WHERE dirst < nxtdirst`,
+	checkAnalyze(t, db,
+		`EXPLAIN ANALYZE SELECT * FROM D WHERE dirst < nxtdirst`,
 		[]string{
-			`scan|D|2|pushdown: (dirst < nxtdirst); eval=scalar; storage=columnar`,
+			`scan|D|1|pushdown: (dirst < nxtdirst); storage=columnar; sel_density=0.17 vec_batches=1`,
+			`project||1|`,
 		})
+	// A FROM-less SELECT's WHERE is a residue over the one empty row.
+	checkAnalyze(t, db,
+		`EXPLAIN ANALYZE SELECT 1 WHERE 1 = 1`,
+		[]string{
+			`filter||1|(1 = 1); sel_density=1.00 vec_batches=1`,
+			`project||1|`,
+		})
+}
+
+// TestExplainUnknownFunction: EXPLAIN rejects a call to an unregistered
+// function in any clause with the error executing the statement raises,
+// while aggregates stay legal where the executor evaluates them.
+func TestExplainUnknownFunction(t *testing.T) {
+	db := newTestDB(t)
+	for _, q := range []string{
+		`SELECT * FROM D WHERE nosuch(inmsg) = 1`,
+		`SELECT nosuch(inmsg) FROM D`,
+		`SELECT * FROM D JOIN V ON nosuch(D.inmsg) = V.m`,
+		`SELECT inmsg FROM D GROUP BY nosuch(inmsg)`,
+		`SELECT inmsg, COUNT(*) FROM D GROUP BY inmsg HAVING nosuch(inmsg)`,
+		`SELECT inmsg FROM D ORDER BY nosuch(inmsg)`,
+	} {
+		if _, err := db.Exec(q); !errors.Is(err, ErrUnknownFunc) {
+			t.Errorf("executing %s: err = %v, want ErrUnknownFunc", q, err)
+		}
+		if _, err := db.Exec(`EXPLAIN ` + q); !errors.Is(err, ErrUnknownFunc) {
+			t.Errorf("EXPLAIN %s: err = %v, want ErrUnknownFunc", q, err)
+		}
+	}
+	for _, q := range []string{
+		`EXPLAIN SELECT inmsg, COUNT(*) FROM D GROUP BY inmsg HAVING COUNT(*) > 1 ORDER BY COUNT(*)`,
+		`EXPLAIN SELECT MIN(dirst), MAX(dirst) FROM D WHERE typename(inmsg) = 'string'`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Errorf("%s: %v", q, err)
+		}
+	}
 }
 
 func TestExplainDoesNotExecute(t *testing.T) {

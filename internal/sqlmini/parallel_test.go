@@ -221,7 +221,7 @@ func TestPlanCacheDialectSlots(t *testing.T) {
 	}
 }
 
-// TestCompileBoundUnboundColumn: CompileBoundCodes only accepts plan-bound
+// TestCompileBoundUnboundColumn: CompileBoundVec only accepts plan-bound
 // expressions; a bare Col must refuse to compile (the caller falls back
 // to the interpreter) rather than resolve names per row.
 func TestCompileBoundUnboundColumn(t *testing.T) {
@@ -230,8 +230,8 @@ func TestCompileBoundUnboundColumn(t *testing.T) {
 	if _, _, err := c.val(Col{Name: "x"}); !errors.Is(err, errUnboundCol) {
 		t.Fatalf("compiling a bare Col: err = %v, want errUnboundCol", err)
 	}
-	if _, err := ev.CompileBoundCodes(Binary{Op: "=", L: Col{Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, errUnboundCol) {
-		t.Fatalf("CompileBoundCodes with unbound column: err = %v, want errUnboundCol", err)
+	if _, err := ev.CompileBoundVec(Binary{Op: "=", L: Col{Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, errUnboundCol) {
+		t.Fatalf("CompileBoundVec with unbound column: err = %v, want errUnboundCol", err)
 	}
 }
 
@@ -269,12 +269,12 @@ func TestCompileBoundValueConditionals(t *testing.T) {
 	}
 	ev := Evaluator{}
 	for name, e := range map[string]Expr{"case": caseExpr, "ternary": ternExpr} {
-		pred, err := ev.CompileBoundCodes(e)
+		pred, err := ev.CompileBoundVec(e)
 		if err != nil {
-			t.Fatalf("%s: CompileBoundCodes: %v", name, err)
+			t.Fatalf("%s: CompileBoundVec: %v", name, err)
 		}
 		for i, row := range rows {
-			got, err := pred(encodeRow(row))
+			got, err := vecTrue(pred, encodeRow(row))
 			if err != nil {
 				t.Fatalf("%s row %d: %v", name, i, err)
 			}

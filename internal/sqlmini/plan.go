@@ -34,16 +34,12 @@ type srcPlan struct {
 	// filters are the remaining pushed conjuncts, evaluated over the
 	// (index-reduced) scan of this source.
 	filters []Expr
-	// progs holds the compiled form of each filter conjunct (same index),
-	// evaluated directly over dictionary-code rows; a nil slot means the
-	// compiler declined that conjunct and it is interpreted per row.
-	progs []CodePred
-	// vecs holds the vectorized form of each filter conjunct (same index),
+	// vecs holds the compiled form of each filter conjunct (same index),
 	// evaluating a whole morsel's column vectors per call; a nil slot means
-	// the conjunct's shape forces row-at-a-time evaluation. The scan takes
-	// the column-at-a-time path only when every conjunct vectorized (see
-	// fullyVec), so a partially lowered filter never splits evaluation
-	// orders.
+	// the conjunct names a column or function that does not resolve. The
+	// scan runs column-at-a-time only when every conjunct compiled (see
+	// fullyVec) and on the interpreter otherwise, so a partially lowered
+	// filter never splits evaluation orders.
 	vecs []*VecPred
 }
 
@@ -56,19 +52,20 @@ func (sp srcPlan) pristine() bool { return len(sp.eqCols) == 0 && len(sp.filters
 type branchPlan struct {
 	srcs    []srcPlan
 	residue Expr // post-join filter; nil when fully pushed
-	// resConj/resProgs are the residue's conjuncts split once at plan time
-	// and their compiled forms (nil slots interpreted), so execution never
-	// re-splits or re-lowers the post-join filter.
-	resConj  []Expr
-	resProgs []CodePred
+	// resConj/resVecs are the residue's conjuncts split once at plan time
+	// and their compiled forms (same convention as srcPlan.vecs), so
+	// execution never re-splits or re-lowers the post-join filter.
+	resConj []Expr
+	resVecs []*VecPred
 }
 
 // residueConjuncts returns the post-join filter as conjuncts plus their
 // compiled forms; plans built through planBranch carry both precomputed,
-// while the defensive fallback plan (planAt) splits on demand.
-func (p *branchPlan) residueConjuncts() ([]Expr, []CodePred) {
+// while the defensive fallback plan (planAt) splits on demand and leaves
+// the filter to the interpreter.
+func (p *branchPlan) residueConjuncts() ([]Expr, []*VecPred) {
 	if p.resConj != nil {
-		return p.resConj, p.resProgs
+		return p.resConj, p.resVecs
 	}
 	if p.residue == nil {
 		return nil, nil
@@ -242,41 +239,22 @@ func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 		sp.filters = append(sp.filters, c)
 	}
 	// Bind column references to row positions: pushed filters against their
-	// source's schema, the residue against the joined layout. Fully bound
-	// conjuncts are additionally lowered to compiled predicates, the form
-	// the filter loop and the morsel-parallel scan evaluate.
+	// source's schema, the residue against the joined layout. Bound
+	// conjuncts are then lowered to VecPreds, the form scans and residues
+	// evaluate serially or in morsels.
 	for i := range plan.srcs {
 		sp := &plan.srcs[i]
 		for j, e := range sp.filters {
 			sp.filters[j] = bindExpr(e, sources[i])
 		}
-		sp.progs = compilePreds(&r.ev, sp.filters)
 		sp.vecs = compileVecs(&r.ev, sp.filters)
 	}
 	if plan.residue != nil {
 		plan.residue = bindExpr(plan.residue, joinedSchema(sources))
 		plan.resConj = splitAnd(plan.residue)
-		plan.resProgs = compilePreds(&r.ev, plan.resConj)
+		plan.resVecs = compileVecs(&r.ev, plan.resConj)
 	}
 	return plan, nil
-}
-
-// compilePreds lowers each bound conjunct through CompileBoundCodes. A
-// conjunct the compiler declines — an unresolved column reference, or an
-// operator outside the compilable subset — keeps a nil slot and is
-// interpreted per row, which preserves the unplanned path's error
-// reporting exactly.
-func compilePreds(ev *Evaluator, conjuncts []Expr) []CodePred {
-	if len(conjuncts) == 0 {
-		return nil
-	}
-	out := make([]CodePred, len(conjuncts))
-	for i, c := range conjuncts {
-		if p, err := ev.CompileBoundCodes(c); err == nil {
-			out[i] = p
-		}
-	}
-	return out
 }
 
 // boundCol is a column reference resolved to a row position at plan time.
@@ -369,7 +347,7 @@ func bindExpr(e Expr, f *frame) Expr {
 // sources, or references something ambiguous/unresolvable.
 func pushTarget(c Expr, sources []*frame) int {
 	var cols []Col
-	colRefs(c, &cols)
+	eachCol(c, func(col Col) { cols = append(cols, col) })
 	if len(cols) == 0 {
 		return -1
 	}

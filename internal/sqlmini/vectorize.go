@@ -1,21 +1,16 @@
 package sqlmini
 
 import (
-	"errors"
+	"slices"
 	"sync"
 
 	"coherdb/internal/rel"
 )
 
-// errNotVectorizable marks an expression whose shape requires
-// row-at-a-time evaluation (it reads two or more columns outside the
-// kernel subset). The planner keeps a nil vectorized slot and EXPLAIN
-// reports eval=scalar.
-var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
-
-// Vectorized predicate execution: a compiled WHERE conjunct gains an
-// EvalVec form that evaluates a whole morsel's column vectors per call
-// instead of one code row at a time. The unit of work is a selection
+// Vectorized predicate execution: VecPred is the executor's one compiled
+// filter form. A WHERE conjunct — pushed to a scan or left as a post-join
+// residue — evaluates a whole morsel's column vectors per call instead of
+// one code row at a time. The unit of work is a selection
 // vector — the strictly increasing row indices still alive — and every
 // kernel filters it in place:
 //
@@ -29,15 +24,13 @@ var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
 //     remainder (set-minus), and merges the two sorted survivor lists;
 //   - NOT rewrites through Kleene-valid identities (De Morgan, operator
 //     flips) so negation never needs a complement set;
-//   - any other shape that reads exactly one column — range compares,
-//     BETWEEN, CASE, registered calls — falls back to the scalar
-//     compiled closure behind a per-code verdict memo: each distinct
-//     dictionary code is evaluated once and the vector loop reuses the
-//     verdict, which on low-cardinality protocol columns is almost as
-//     tight as a native kernel;
-//   - expressions reading two or more columns decline (CompileBoundVec
-//     errors, the plan keeps a nil slot) and the scan stays scalar,
-//     reported by EXPLAIN as eval=scalar.
+//   - any other shape falls back to the scalar compiled closure (see
+//     compile.go). One that reads exactly one column — range compares,
+//     BETWEEN, CASE, registered calls — runs behind a per-code verdict
+//     memo: each distinct dictionary code is evaluated once and the
+//     vector loop reuses the verdict, which on low-cardinality protocol
+//     columns is almost as tight as a native kernel. One that reads two
+//     or more columns copies them into a scratch row per lane.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
@@ -50,8 +43,8 @@ var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
 // row-major — so when several rows would error, which error surfaces
 // first can differ. The compiled subset only errors on registered Funcs,
 // which this codebase's workloads keep pure and total; the golden
-// vectorized-vs-row-at-a-time controller tests pin byte-identical results
-// on every successful query.
+// controller tests pin byte-identical results against the interpreter on
+// every successful query.
 //
 // A VecPred is immutable after compilation and safe for concurrent use:
 // all mutable evaluation state (scratch selections, verdict memos) lives
@@ -115,9 +108,9 @@ func (st *vecState) growMemo(slot int, code uint32) []uint8 {
 // keeps exactly the rows on which Evaluator.True holds.
 type VecPred struct {
 	kern      vecKernel
+	reads     []int // distinct column positions read, ascending
 	bufSlots  int
 	memoSlots int
-	crowLen   int
 	pool      sync.Pool // *vecState
 }
 
@@ -130,7 +123,7 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 		st = &vecState{
 			bufs:  make([][]uint32, p.bufSlots),
 			memos: make([][]uint8, p.memoSlots),
-			crow:  make([]uint32, p.crowLen),
+			crow:  make([]uint32, p.Width()),
 		}
 	}
 	out, err := p.kern(st, cols, sel)
@@ -140,25 +133,34 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 
 // Width returns the number of column positions the predicate may read —
 // the minimum length of the cols slice passed to EvalVec.
-func (p *VecPred) Width() int { return p.crowLen }
+func (p *VecPred) Width() int {
+	if len(p.reads) == 0 {
+		return 0
+	}
+	return p.reads[len(p.reads)-1] + 1
+}
 
-// CompileBoundVec lowers a plan-bound conjunct into its vectorized form,
-// or errNotVectorizable when the expression's shape forces row-at-a-time
-// evaluation (it reads two or more columns outside the =/<>/IN/IS
-// NULL/AND/OR/NOT kernel subset). Callers keep a nil slot on error and
-// the scan falls back to the scalar compiled predicate.
+// CompileBoundVec lowers a plan-bound conjunct — one whose column
+// references bindExpr already replaced with boundCol positions — into its
+// vectorized form. It fails only when the expression names a column the
+// planner could not bind (errUnboundCol; the interpreter owns that
+// diagnosis) or an unregistered function (ErrUnknownFunc). The NULL
+// dialect and function registry are captured at compile time, so plans
+// are cached per dialect (see planEntry) and invalidated when a function
+// is registered.
 func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
 	vc := &vecCompiler{c: &compiler{ev: ev, sweep: -1, bound: true}}
 	k, err := vc.comp(e)
 	if err != nil {
 		return nil, err
 	}
-	return &VecPred{kern: k, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen}, nil
+	return &VecPred{kern: k, reads: boundPositions(e), bufSlots: vc.bufSlots, memoSlots: vc.memoSlots}, nil
 }
 
-// compileVecs lowers each bound conjunct through CompileBoundVec,
-// leaving nil slots where the compiler declined — the same convention
-// compilePreds uses for the scalar closures.
+// compileVecs lowers each bound conjunct through CompileBoundVec, leaving
+// nil slots where the compiler declined; a filter with a nil slot runs on
+// the interpreter, which reports the unknown column or function exactly
+// as the unplanned path does.
 func compileVecs(ev *Evaluator, conjuncts []Expr) []*VecPred {
 	if len(conjuncts) == 0 {
 		return nil
@@ -192,13 +194,6 @@ type vecCompiler struct {
 	c         *compiler
 	bufSlots  int
 	memoSlots int
-	crowLen   int
-}
-
-func (vc *vecCompiler) needCrow(n int) {
-	if n > vc.crowLen {
-		vc.crowLen = n
-	}
 }
 
 // vecOperand classifies a code-loadable operand: an interned literal or
@@ -325,7 +320,6 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 				if rlit {
 					lit, idx = rc, li
 				}
-				vc.needCrow(idx + 1)
 				if !nullEq && lit == rel.NullCode {
 					return constKernel(false), nil
 				}
@@ -370,11 +364,6 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 					return sel[:k], nil
 				}, nil
 			default: // column vs column
-				w := li
-				if ri > w {
-					w = ri
-				}
-				vc.needCrow(w + 1)
 				if nullEq {
 					return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 						a, b := cols[li], cols[ri]
@@ -425,7 +414,6 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 			return vc.fallback(e)
 		}
 		idx, neg := bc.Idx, x.Negate
-		vc.needCrow(idx + 1)
 		// NULL is code 0 in both dialects; IS NULL never yields unknown.
 		return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			col := cols[idx]
@@ -459,7 +447,6 @@ func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
 	nullEq := vc.c.ev.NullEq
 	neg := x.Negate
 	idx := bc.Idx
-	vc.needCrow(idx + 1)
 
 	var codes []uint32
 	hasNull := false
@@ -575,33 +562,23 @@ func negateVec(e Expr) (Expr, bool) {
 	return nil, false
 }
 
-// fallback vectorizes an arbitrary conjunct that reads at most one
-// column: the scalar compiled closure runs behind a per-code verdict
-// memo, so each distinct dictionary code in the column is evaluated once
-// per state lifetime and the morsel loop is a table lookup. Conjuncts
-// reading two or more columns decline.
+// fallback vectorizes an arbitrary conjunct through its scalar compiled
+// closure. A conjunct reading no column is decided once per call; one
+// reading a single column runs behind a per-code verdict memo, so each
+// distinct dictionary code in the column is evaluated once per state
+// lifetime and the morsel loop is a table lookup; one reading several
+// columns copies them into the state's scratch row per lane.
 func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
-	// Distinct bound positions; a bare Col means the planner could not
-	// bind it, which the scalar compiler rejects below anyway.
-	idx := -1
-	multi := false
-	walkBound(e, func(b boundCol) {
-		if idx < 0 {
-			idx = b.Idx
-		} else if b.Idx != idx {
-			multi = true
-		}
-	})
-	if multi {
-		return nil, errNotVectorizable
-	}
 	fn, _, err := vc.c.bool(e)
 	if err != nil {
 		return nil, err
 	}
-	if idx < 0 {
-		// No column references: one evaluation decides the whole morsel.
+	pos := boundPositions(e)
+	if len(pos) == 0 {
 		return func(_ *vecState, _ [][]uint32, sel []uint32) ([]uint32, error) {
+			if len(sel) == 0 {
+				return sel, nil
+			}
 			t, err := fn(nil, nil)
 			if err != nil {
 				return nil, err
@@ -612,14 +589,33 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 			return sel[:0], nil
 		}, nil
 	}
+	if len(pos) > 1 {
+		return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
+			crow := st.crow
+			k := 0
+			for _, ri := range sel {
+				for _, p := range pos {
+					crow[p] = cols[p][ri]
+				}
+				t, err := fn(nil, crow)
+				if err != nil {
+					return nil, err
+				}
+				if t == triTrue {
+					sel[k] = ri
+					k++
+				}
+			}
+			return sel[:k], nil
+		}, nil
+	}
+	idx := pos[0]
 	slot := vc.memoSlots
 	vc.memoSlots++
-	vc.needCrow(idx + 1)
-	width := idx + 1
 	return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 		col := cols[idx]
 		m := st.memos[slot]
-		crow := st.crow[:width]
+		crow := st.crow
 		k := 0
 		for _, ri := range sel {
 			c := col[ri]
@@ -653,42 +649,15 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 	}, nil
 }
 
-// walkBound visits every bound column reference in e.
-func walkBound(e Expr, visit func(boundCol)) {
-	switch x := e.(type) {
-	case boundCol:
-		visit(x)
-	case Unary:
-		walkBound(x.X, visit)
-	case Binary:
-		walkBound(x.L, visit)
-		walkBound(x.R, visit)
-	case InList:
-		walkBound(x.X, visit)
-		for _, s := range x.Set {
-			walkBound(s, visit)
+// boundPositions returns the distinct bound column positions e reads,
+// ascending.
+func boundPositions(e Expr) []int {
+	var pos []int
+	visit(e, func(n Expr) {
+		if b, ok := n.(boundCol); ok && !slices.Contains(pos, b.Idx) {
+			pos = append(pos, b.Idx)
 		}
-	case IsNull:
-		walkBound(x.X, visit)
-	case Between:
-		walkBound(x.X, visit)
-		walkBound(x.Lo, visit)
-		walkBound(x.Hi, visit)
-	case Ternary:
-		walkBound(x.Cond, visit)
-		walkBound(x.Then, visit)
-		walkBound(x.Else, visit)
-	case Case:
-		for _, w := range x.Whens {
-			walkBound(w.Cond, visit)
-			walkBound(w.Val, visit)
-		}
-		if x.Else != nil {
-			walkBound(x.Else, visit)
-		}
-	case Call:
-		for _, a := range x.Args {
-			walkBound(a, visit)
-		}
-	}
+	})
+	slices.Sort(pos)
+	return pos
 }

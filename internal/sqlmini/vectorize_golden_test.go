@@ -9,14 +9,15 @@ import (
 	"coherdb/internal/sqlmini"
 )
 
-// TestVectorizedMatchesScalarControllers is the vectorized executor's
-// golden equivalence gate on the real workload, the vectorized counterpart
-// of TestParallelMatchesSerialControllers: over all eight generated
+// TestVectorizedMatchesScalarControllers is the compiled executor's
+// golden equivalence gate on the real workload, the counterpart of
+// TestParallelMatchesSerialControllers: over all eight generated
 // controller tables, every query — full scans, filtered scans, grouping,
-// the Fig. 3 readex-rows projection, and the complete ~50-invariant suite
-// — must produce byte-identical results with column-at-a-time evaluation
-// on and off, in both NULL dialects, serial and under a forced-parallel
-// morsel split.
+// the Fig. 3 readex-rows projection, two-column filters and residues, and
+// the complete ~50-invariant suite — must produce byte-identical results
+// column-at-a-time and on the row-at-a-time interpreter
+// (QueryInterpreted), in both NULL dialects, serial and under a
+// forced-parallel morsel split.
 func TestVectorizedMatchesScalarControllers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates all controller tables")
@@ -35,10 +36,14 @@ func TestVectorizedMatchesScalarControllers(t *testing.T) {
 			`SELECT inmsg, COUNT(*) AS n FROM `+tab+` GROUP BY inmsg`,
 		)
 	}
-	// The Fig. 3 fragment: the readex transaction rows of D.
+	// The Fig. 3 fragment: the readex transaction rows of D, plus
+	// multi-column conjuncts pushed to a scan and left as a residue.
 	queries = append(queries,
 		`SELECT inmsg, dirst, dirpv, locmsg, remmsg, memmsg, nxtbdirst, nxtdirpv
-		 FROM D WHERE inmsg = 'readex' AND bdirhit = 'miss'`)
+		 FROM D WHERE inmsg = 'readex' AND bdirhit = 'miss'`,
+		`SELECT inmsg, dirst, nxtdirst FROM D WHERE dirst < nxtdirst`,
+		`SELECT a.inmsg, a.dirst, b.dirst FROM D a JOIN D b ON a.inmsg = b.inmsg
+		 WHERE a.dirst <> b.nxtdirst AND a.locmsg IS NOT NULL`)
 	for _, inv := range check.ProtocolSuite().Invariants() {
 		queries = append(queries, inv.SQL)
 	}
@@ -56,19 +61,17 @@ func TestVectorizedMatchesScalarControllers(t *testing.T) {
 		for _, strict := range []bool{false, true} {
 			db.SetStrictNulls(strict)
 			for _, q := range queries {
-				sqlmini.SetVectorizedScans(db, false)
-				scalar, err := db.Query(q)
+				want, err := sqlmini.QueryInterpreted(db, q)
 				if err != nil {
-					t.Fatalf("scalar (strict=%v, parallel=%v) %q: %v", strict, parallel, q, err)
+					t.Fatalf("interpreted (strict=%v, parallel=%v) %q: %v", strict, parallel, q, err)
 				}
-				sqlmini.SetVectorizedScans(db, true)
 				vec, err := db.Query(q)
 				if err != nil {
 					t.Fatalf("vectorized (strict=%v, parallel=%v) %q: %v", strict, parallel, q, err)
 				}
-				if scalar.String() != vec.String() {
-					t.Errorf("vectorized result differs (strict=%v, parallel=%v) for %q:\nscalar:\n%s\nvectorized:\n%s",
-						strict, parallel, q, scalar, vec)
+				if want.String() != vec.String() {
+					t.Errorf("vectorized result differs (strict=%v, parallel=%v) for %q:\ninterpreted:\n%s\nvectorized:\n%s",
+						strict, parallel, q, want, vec)
 				}
 			}
 		}

@@ -94,9 +94,9 @@ func (r codeRowEnv) At(i int) (rel.Value, bool) {
 }
 
 // TestVecPredMatchesScalarKernel is the seeded randomized cross-check: for
-// hundreds of random predicates, in both NULL dialects, the selection
-// vector EvalVec keeps must be exactly the rows Evaluator.True accepts
-// one at a time.
+// hundreds of random predicates, in both NULL dialects, CompileBoundVec
+// must accept the predicate and the selection vector EvalVec keeps must
+// be exactly the rows Evaluator.True accepts one at a time.
 func TestVecPredMatchesScalarKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const ncols, nrows = 3, 64
@@ -107,7 +107,7 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 			ev := &Evaluator{NullEq: !strict}
 			vp, err := ev.CompileBoundVec(e)
 			if err != nil {
-				continue // not vectorizable (e.g. multi-column fallback): scalar path owns it
+				t.Fatalf("trial %d strict=%v: every plan-bound conjunct must compile, %s: %v", trial, strict, e, err)
 			}
 			sel := make([]uint32, nrows)
 			for i := range sel {

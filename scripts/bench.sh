@@ -9,7 +9,9 @@
 #   BENCH_OUT=out.json scripts/bench.sh
 #
 # Before benchmarking, the script fails loudly (non-zero exit) if `go vet`
-# or the race-detector runs fail: compiled constraint kernels are shared
+# or the race-detector runs fail, or if any alternative of a race gate's
+# -run pattern names no test (go test passes silently on a pattern that
+# matches nothing, so a renamed test would quietly leave its gate): compiled constraint kernels are shared
 # across solver workers, the morsel-parallel executor shares one pool and
 # plan cache across concurrent statements, and every table now encodes
 # into one process-wide dictionary whose decode side is lock-free — a racy
@@ -22,6 +24,8 @@
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
 # instrumented execution of the same join), the vectorized filter scan,
+# a two-column post-join residue (BenchmarkSQLResidueFilter), the one-row
+# UPDATE-plus-undo of the edit-check loop (BenchmarkSQLUpdateRow),
 # the segment pack/unpack throughput, the out-of-core
 # state-exploration trio (in-memory vs segmented vs spilled at a fixed
 # memory budget, with states and bytes/state as extra metrics), and the
@@ -47,12 +51,33 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkSQLResidueFilter$|BenchmarkSQLUpdateRow|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
+
+# race_run PATTERN PKG... race-runs the tests PATTERN selects in the
+# packages, after checking that every |-separated alternative of PATTERN
+# matches at least one test that `go test -list` reports there.
+race_run() {
+    pattern="$1"
+    shift
+    names="$(go test -list . "$@" | grep -E '^(Test|Fuzz|Example)' || true)"
+    set -f
+    old_ifs="$IFS"
+    IFS='|'
+    for alt in $pattern; do
+        if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+            echo "bench.sh: race-gate pattern '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+    IFS="$old_ifs"
+    set +f
+    go test -race -run "$pattern" "$@"
+}
 
 echo "== go vet ./... =="
 go vet ./...
@@ -61,15 +86,15 @@ echo "== race-detector storage-engine tests =="
 go test -race ./internal/rel/...
 
 echo "== race-detector solver tests =="
-go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar' \
+race_run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar' \
     ./internal/constraint/ ./internal/sqlmini/
 
 echo "== race-detector parallel-executor tests =="
-go test -race -run 'TestParallelMatchesSerial|TestParallelMatchesSerialControllers|TestConcurrentParallelSelects|TestParallelWorkerStats|TestEach' \
+race_run 'TestParallelMatchesSerial|TestParallelMatchesSerialControllers|TestConcurrentParallelSelects|TestParallelWorkerStats|TestResidueRunsOnPool|TestEach' \
     ./internal/pool/ ./internal/sqlmini/
 
-echo "== race-detector vectorized-equivalence tests =="
-go test -race -run 'TestVectorizedMatchesScalarControllers|TestVecPredMatchesScalarKernel|TestSweepVecMatchesScalarSweep' \
+echo "== race-detector compiled-vs-interpreter equivalence tests =="
+race_run 'TestVectorizedMatchesScalarControllers|TestCompiledFiltersMatchInterpreter|TestVecPredMatchesScalarKernel|TestSweepVecMatchesScalarSweep|TestAllTrueMatchesAndChain' \
     ./internal/sqlmini/
 
 echo "== race-detector observability tests =="
@@ -79,17 +104,17 @@ echo "== race-detector delta-tracking tests =="
 go test -race ./internal/delta/...
 
 echo "== race-detector incremental-recheck equivalence =="
-go test -race -run 'TestEditScriptEquivalence' ./internal/check/
+race_run 'TestEditScriptEquivalence' ./internal/check/
 
 echo "== race-detector segment-store tests =="
 go test -race ./internal/segment/
 
 echo "== race-detector segmented model-checker equivalence =="
-go test -race -run 'TestSegmented|TestStateCodecMatchesFingerprint|TestTraceLogOutOfCore' \
+race_run 'TestSegmented|TestStateCodecMatchesFingerprint|TestTraceLogOutOfCore' \
     ./internal/modelcheck/ ./internal/sim/
 
 echo "== race-detector MVCC catalog + session tests =="
-go test -race -run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|TestConcurrentSessions|TestSessionOverlay' \
+race_run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|TestConcurrentSessions|TestSessionOverlay' \
     ./internal/rel/ ./internal/sqlmini/
 
 echo "== race-detector query-server tests =="
