@@ -10,6 +10,8 @@ import (
 // extracted once from its SQL and cached on the suite. A nil entry means
 // the SQL could not be analyzed; such invariants are always re-checked.
 func (s *Suite) inputSets() [][]delta.Input {
+	s.inputsMu.Lock()
+	defer s.inputsMu.Unlock()
 	if s.inputs != nil {
 		return s.inputs
 	}

@@ -13,6 +13,7 @@ package check
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"coherdb/internal/delta"
@@ -59,8 +60,11 @@ func (r Result) Passed() bool { return r.Err == nil && r.Violations != nil && r.
 type Suite struct {
 	invs []Invariant
 	// inputs caches each invariant's (table, columns) dependency list,
-	// extracted from its SQL; see inputSets. Dropped on Add.
-	inputs [][]delta.Input
+	// extracted from its SQL; see inputSets. Dropped on Add. inputsMu
+	// guards it: sessions of one server re-check through a shared suite
+	// concurrently, and the first of them fills the cache.
+	inputsMu sync.Mutex
+	inputs   [][]delta.Input
 }
 
 // NewSuite builds an empty suite.
@@ -84,7 +88,9 @@ func (s *Suite) Add(inv Invariant) *Suite {
 		}
 	}
 	s.invs = append(s.invs, inv)
+	s.inputsMu.Lock()
 	s.inputs = nil
+	s.inputsMu.Unlock()
 	return s
 }
 

@@ -213,22 +213,14 @@ func (s *IncrementalSolver) SolveSpec(spec *Spec) (_ *rel.Table, stats Stats, er
 // emit materializes the final memoized rows into a fresh result table and
 // records it (with its revision) for pointer reuse on the next solve.
 func (s *IncrementalSolver) emit(stats Stats) (*rel.Table, Stats, error) {
-	spec := s.spec
-	out, err := rel.NewTable(spec.Name, spec.ColumnNames()...)
+	var rows [][]uint32
+	if n := len(s.memo); n > 0 && n == len(s.spec.cols) {
+		rows = s.memo[n-1].rows // else the solve stopped on an empty step
+	}
+	out, err := emitRows(s.spec, rows)
 	if err != nil {
 		s.valid = false
 		return nil, stats, err
-	}
-	if n := len(s.memo); n > 0 {
-		for _, row := range s.memo[n-1].rows {
-			if len(row) != len(spec.cols) {
-				break // solve aborted early on inconsistency
-			}
-			if err := out.AppendCodeRow(row); err != nil {
-				s.valid = false
-				return nil, stats, err
-			}
-		}
 	}
 	stats.Rows = out.NumRows()
 	s.out, s.outRev, s.valid = out, out.Revision(), true

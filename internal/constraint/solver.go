@@ -203,21 +203,33 @@ func SolveOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err error) 
 		}
 	}
 
-	out, err := rel.NewTable(spec.Name, spec.ColumnNames()...)
+	out, err := emitRows(spec, cur)
 	if err != nil {
 		return nil, stats, err
 	}
-	for _, row := range cur {
-		if len(row) != len(spec.cols) {
-			// Solve aborted early on inconsistency; no rows to emit.
-			break
-		}
-		if err := out.AppendCodeRow(row); err != nil {
-			return nil, stats, err
-		}
-	}
 	stats.Rows = out.NumRows()
 	return out, stats, nil
+}
+
+// emitRows builds the generated table from complete solve rows, projecting
+// the hidden columns away.
+func emitRows(spec *Spec, rows [][]uint32) (*rel.Table, error) {
+	out, err := rel.NewTable(spec.Name, spec.ColumnNames()...)
+	if err != nil {
+		return nil, err
+	}
+	var cols [][]uint32
+	for p, c := range spec.cols {
+		if c.Kind == Hidden {
+			continue
+		}
+		col := make([]uint32, len(rows))
+		for i, r := range rows {
+			col[i] = r[p]
+		}
+		cols = append(cols, col)
+	}
+	return out, out.AppendColumns(cols, len(rows))
 }
 
 // encodeDomain interns a column table into the shared dictionary once, so
@@ -248,8 +260,8 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	if space > opts.limit() {
 		return nil, stats, fmt.Errorf("%w: %d > %d", ErrSpaceLimit, space, opts.limit())
 	}
-	names := spec.ColumnNames()
-	domains := make([][]uint32, len(spec.cols))
+	width := len(spec.cols)
+	domains := make([][]uint32, width)
 	for i, c := range spec.cols {
 		domains[i] = encodeDomain(c.Domain())
 	}
@@ -286,7 +298,7 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 			// Each constraint runs as a one-lane sweep over the value its
 			// fire column already holds; enumeration changes many columns
 			// between candidates, so every evaluation starts a new row.
-			sw := newSweeper(cc, len(names))
+			sw := newSweeper(cc, width)
 			defer sw.release()
 			row := sw.row
 			keep := []bool{true}
@@ -319,7 +331,7 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 						}
 					}
 					if ok {
-						nr := arena.row(len(names))
+						nr := arena.row(width)
 						copy(nr, row)
 						out = append(out, nr)
 					}
@@ -335,13 +347,10 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 		}
 		stats.Candidates += tested[w]
 	}
-	out, err := rel.NewTable(spec.Name, names...)
-	if err != nil {
-		return nil, stats, err
-	}
 	// Batches flatten in index order, so Monolithic and Solve results
 	// compare equal row for row.
-	if err := out.AppendCodes(flattenBatches(perBatch)); err != nil {
+	out, err := emitRows(spec, flattenBatches(perBatch))
+	if err != nil {
 		return nil, stats, err
 	}
 	stats.Rows = out.NumRows()
@@ -350,40 +359,44 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 }
 
 // InputSpec projects the spec onto its input columns: the sub-spec whose
-// solution is the table of all legal input combinations. Constraints that
-// mention any output column are dropped (they cannot fire over inputs
-// alone). The sub-spec shares the parent's function table and inherits its
-// mutation stamps, so rebuilding InputSpec from an unchanged parent yields
-// a sub-spec an IncrementalSolver recognizes as identical.
+// solution is the table of all legal input combinations. It keeps the
+// input columns, plus every hidden column whose constraint reads only
+// kept columns (so legality a hidden column encodes, such as the rule
+// column's coverage pruning, still applies), and the constraints of kept
+// columns that read only kept columns. The sub-spec shares the parent's
+// function table and inherits its mutation stamps, so rebuilding
+// InputSpec from an unchanged parent yields a sub-spec an
+// IncrementalSolver recognizes as identical.
 func InputSpec(spec *Spec) (*Spec, error) {
 	sub := NewSpec(spec.Name + "_inputs")
 	sub.funcs = spec.funcs
 	sub.funcGen = spec.funcGen
 	sub.genCtr = spec.genCtr
-	inputs := make(map[string]struct{})
+	kept := make(map[string]struct{})
+	readsKept := func(col string) bool {
+		e := spec.constraints[col]
+		if e == nil {
+			return false
+		}
+		for ref := range sqlmini.Columns(e) {
+			if _, ok := kept[ref]; !ok && ref != col {
+				return false
+			}
+		}
+		return true
+	}
 	for _, c := range spec.cols {
-		if c.Kind != Input {
+		if c.Kind == Output || (c.Kind == Hidden && !readsKept(c.Name)) {
 			continue
 		}
 		if err := sub.AddColumn(c); err != nil {
 			return nil, err
 		}
-		inputs[c.Name] = struct{}{}
+		kept[c.Name] = struct{}{}
 	}
-	// Keep only constraints that mention input columns exclusively.
-	for col, e := range spec.constraints {
-		if _, ok := inputs[col]; !ok {
-			continue
-		}
-		onlyInputs := true
-		for ref := range sqlmini.Columns(e) {
-			if _, ok := inputs[ref]; !ok {
-				onlyInputs = false
-				break
-			}
-		}
-		if onlyInputs {
-			sub.constraints[col] = e
+	for col := range kept {
+		if readsKept(col) {
+			sub.constraints[col] = spec.constraints[col]
 			sub.conGen[col] = spec.conGen[col]
 		}
 	}

@@ -3,6 +3,7 @@ package constraint
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"coherdb/internal/rel"
@@ -56,6 +57,64 @@ func mustDo(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHiddenColumn checks the hidden column kind: it is placed after the
+// inputs, solved and constrained like any column, keyed on by later
+// constraints, and projected out of every emitted table; InputSpec keeps
+// it when its constraint reads only inputs, so its pruning still holds.
+func TestHiddenColumn(t *testing.T) {
+	s := NewSpec("h")
+	mustDo(t, s.AddColumn(Column{Name: "x", Values: []string{"1", "2", "3"}, NoNull: true}))
+	mustDo(t, s.AddOutput("y", "p", "q"))
+	mustDo(t, s.AddColumnAfterInputs(Column{Name: "par", Kind: Hidden, Values: []string{"even", "odd"}, NoNull: true}))
+	mustDo(t, s.AddColumn(Column{Name: "late", Kind: Hidden, Values: []string{"1"}}))
+	// x = 3 maps to NULL, outside par's domain: the row is pruned.
+	mustDo(t, s.Constrain("par", `x = "2" ? par = "even" : x = "1" ? par = "odd" : par = NULL`))
+	mustDo(t, s.Constrain("y", `par = "even" ? y = "p" : y = "q"`))
+	mustDo(t, s.Constrain("late", `y = "p" ? late = "1" : late = NULL`))
+
+	var kinds []string
+	for _, c := range s.Columns() {
+		kinds = append(kinds, c.Name+":"+c.Kind.String())
+	}
+	if got := strings.Join(kinds, " "); got != "x:input par:hidden y:output late:hidden" {
+		t.Fatalf("Columns() = %s", got)
+	}
+	if got := strings.Join(s.ColumnNames(), " "); got != "x y" {
+		t.Fatalf("ColumnNames() = %s", got)
+	}
+	if s.ColumnIndex()["par"] != 1 {
+		t.Fatalf("ColumnIndex() = %v", s.ColumnIndex())
+	}
+
+	const want = "x,y\n1,q\n2,p\n"
+	solved, _, err := Solve(s)
+	mustDo(t, err)
+	mono, _, err := Monolithic(s)
+	mustDo(t, err)
+	inc, _, err := NewIncrementalSolver(s, Options{}).Solve()
+	mustDo(t, err)
+	for name, tab := range map[string]*rel.Table{"solve": solved, "monolithic": mono, "incremental": inc} {
+		if got := tableBytes(t, tab); got != want {
+			t.Errorf("%s emitted\n%s\nwant\n%s", name, got, want)
+		}
+	}
+
+	sub, err := InputSpec(s)
+	mustDo(t, err)
+	var subCols []string
+	for _, c := range sub.Columns() {
+		subCols = append(subCols, c.Name)
+	}
+	if got := strings.Join(subCols, " "); got != "x par" {
+		t.Fatalf("InputSpec columns = %s, want x par", got)
+	}
+	inputs, _, err := GenerateInputs(s)
+	mustDo(t, err)
+	if got := tableBytes(t, inputs); got != "x\n1\n2\n" {
+		t.Fatalf("GenerateInputs =\n%s", got)
 	}
 }
 

@@ -33,20 +33,29 @@ var (
 )
 
 // ColumnKind distinguishes the input columns of a controller state machine
-// from its output columns.
+// from its output columns and from the hidden columns the solver uses
+// internally.
 type ColumnKind uint8
 
-// Column kinds.
+// Column kinds. A Hidden column is solved like any other column — it is
+// extended, constrained and enumerated — but projected out of every table
+// the solvers emit, so other constraints can key on it without it
+// reaching the controller table. It must be functionally determined by
+// the columns before it, or the projected table would repeat rows.
 const (
 	Input ColumnKind = iota
 	Output
+	Hidden
 )
 
 func (k ColumnKind) String() string {
-	if k == Input {
+	switch k {
+	case Input:
 		return "input"
+	case Output:
+		return "output"
 	}
-	return "output"
+	return "hidden"
 }
 
 // Column is one column of a controller table: its name, kind, and legal
@@ -112,26 +121,43 @@ func NewSpec(name string) *Spec {
 
 // AddInput declares an input column with the given legal values.
 func (s *Spec) AddInput(name string, values ...string) error {
-	return s.add(Column{Name: name, Kind: Input, Values: values})
+	return s.AddColumn(Column{Name: name, Kind: Input, Values: values})
 }
 
 // AddOutput declares an output column with the given legal values.
 func (s *Spec) AddOutput(name string, values ...string) error {
-	return s.add(Column{Name: name, Kind: Output, Values: values})
+	return s.AddColumn(Column{Name: name, Kind: Output, Values: values})
 }
 
 // AddColumn declares a fully specified column.
-func (s *Spec) AddColumn(c Column) error { return s.add(c) }
+func (s *Spec) AddColumn(c Column) error { return s.insert(len(s.cols), c) }
 
-func (s *Spec) add(c Column) error {
+// AddColumnAfterInputs declares a column placed right after the last input
+// column (first, when there is none), ahead of any outputs already
+// declared — where a hidden column derived from the inputs belongs.
+func (s *Spec) AddColumnAfterInputs(c Column) error {
+	at := 0
+	for i, col := range s.cols {
+		if col.Kind == Input {
+			at = i + 1
+		}
+	}
+	return s.insert(at, c)
+}
+
+func (s *Spec) insert(at int, c Column) error {
 	if _, dup := s.colIdx[c.Name]; dup {
 		return fmt.Errorf("%w: %q in spec %q", ErrDupColumn, c.Name, s.Name)
 	}
 	if len(c.Values) == 0 && c.NoNull {
 		return fmt.Errorf("%w: %q in spec %q", ErrEmptyDomain, c.Name, s.Name)
 	}
-	s.colIdx[c.Name] = len(s.cols)
-	s.cols = append(s.cols, c)
+	s.cols = append(s.cols, Column{})
+	copy(s.cols[at+1:], s.cols[at:])
+	s.cols[at] = c
+	for i := at; i < len(s.cols); i++ {
+		s.colIdx[s.cols[i].Name] = i
+	}
 	s.invalidate()
 	return nil
 }
@@ -143,15 +169,18 @@ func (s *Spec) invalidate() {
 	s.mu.Unlock()
 }
 
-// Columns returns the declared columns in order (inputs and outputs
-// interleaved as declared).
+// Columns returns the declared columns in solve order, hidden ones
+// included (inputs and outputs interleaved as declared).
 func (s *Spec) Columns() []Column { return append([]Column(nil), s.cols...) }
 
-// ColumnNames returns the declared column names in order.
+// ColumnNames returns the names of the columns the generated table has:
+// the declared columns in order, hidden ones excluded.
 func (s *Spec) ColumnNames() []string {
-	out := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		out[i] = c.Name
+	out := make([]string, 0, len(s.cols))
+	for _, c := range s.cols {
+		if c.Kind != Hidden {
+			out = append(out, c.Name)
+		}
 	}
 	return out
 }
@@ -270,9 +299,9 @@ func (s *Spec) evaluator() *sqlmini.Evaluator {
 // cross-check compiled constraint kernels against tree-walking evaluation.
 func (s *Spec) Evaluator() *sqlmini.Evaluator { return s.evaluator() }
 
-// ColumnIndex returns the position of every declared column in row order —
-// the binding the constraint compiler uses to lower column references to
-// positional loads.
+// ColumnIndex returns the position of every declared column, hidden ones
+// included, in solve-row order — the binding the constraint compiler uses
+// to lower column references to positional loads.
 func (s *Spec) ColumnIndex() map[string]int {
 	out := make(map[string]int, len(s.colIdx))
 	for n, i := range s.colIdx {

@@ -111,7 +111,8 @@ func TestWriteTables(t *testing.T) {
 // TestDBHoldsOnlyGeneratedTables pins the pipeline database's catalog:
 // the deadlock analysis runs in databases of its own, so after a full run
 // the pipeline's database holds the eight controller tables, ED and the
-// nine implementation tables, and no V or dependency table.
+// nine implementation tables, and no V or dependency table. None of them
+// carries the rule column the solver projects away.
 func TestDBHoldsOnlyGeneratedTables(t *testing.T) {
 	p := fullRun(t)
 	want := []string{"ED"}
@@ -124,6 +125,11 @@ func TestDBHoldsOnlyGeneratedTables(t *testing.T) {
 	sort.Strings(want)
 	if got := p.DB.Names(); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("pipeline tables = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		if p.DB.MustTable(name).ColIndex(protocol.RuleColumn) >= 0 {
+			t.Errorf("table %s has the hidden %s column", name, protocol.RuleColumn)
+		}
 	}
 }
 

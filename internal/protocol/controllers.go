@@ -67,8 +67,10 @@ func (b *ctrlBuilder) rule(id, when string, set map[string]string) {
 	b.rs.Add(Rule{ID: id, When: when, Set: set})
 }
 
-func (b *ctrlBuilder) finish(legalityCol string) (*constraint.Spec, error) {
-	if err := b.rs.CompileInto(b.spec, legalityCol, b.outs); err != nil {
+// finish compiles the rules into the spec. Input combinations no rule
+// covers are illegal in every small controller.
+func (b *ctrlBuilder) finish() (*constraint.Spec, error) {
+	if err := b.rs.CompileInto(b.spec, true, b.outs); err != nil {
 		return nil, err
 	}
 	return b.spec, nil
@@ -119,7 +121,7 @@ func BuildMemorySpec() (*constraint.Spec, error) {
 		b.rule(r.in+"@refresh", all(eq("inmsg", r.in), eq("bankst", "refresh")),
 			msgSet("dirmsg", "retry", RoleHome, RoleHome, QResp))
 	}
-	return b.finish("inmsg")
+	return b.finish()
 }
 
 // BuildCacheSpec constructs the per-processor cache controller table C: the
@@ -256,7 +258,7 @@ func BuildCacheSpec() (*constraint.Spec, error) {
 	b.rule("retry@II_s", whenAt("retry", "II_s"), abort(CacheI))
 	b.rule("nack@II_s", whenAt("nack", "II_s"), abort(CacheI))
 
-	return b.finish("cachest")
+	return b.finish()
 }
 
 // BuildNodeSpec constructs the node interface controller table N: it owns
@@ -317,7 +319,7 @@ func BuildNodeSpec() (*constraint.Spec, error) {
 		}
 		b.rule(c+"@pending", all(eq("inmsg", c), eq("mshrst", "pending")), set)
 	}
-	return b.finish("mshrst")
+	return b.finish()
 }
 
 // BuildRACSpec constructs the remote access cache controller table R: the
@@ -395,7 +397,7 @@ func BuildRACSpec() (*constraint.Spec, error) {
 	b.rule("sflush@M", whenAt("sflush", "M"), snp("sdata", "I"))
 	b.rule("sflush@S", whenAt("sflush", "S"), snp("idone", "I"))
 
-	return b.finish("racst")
+	return b.finish()
 }
 
 // BuildIOBridgeSpec constructs the I/O bridge controller table IO.
@@ -440,7 +442,7 @@ func BuildIOBridgeSpec() (*constraint.Spec, error) {
 		msgSet("netmsg", "intrack", RoleRemote, RoleHome, QResp))
 	b.rule("intr@wrpend", whenAt("intr", "wrpend"),
 		msgSet("netmsg", "intrack", RoleRemote, RoleHome, QResp))
-	return b.finish("iost")
+	return b.finish()
 }
 
 // BuildInterruptSpec constructs the interrupt delivery controller table INT.
@@ -469,7 +471,7 @@ func BuildInterruptSpec() (*constraint.Spec, error) {
 	b.rule("intr@pending", whenAt("intr", "pending"), msgSet("cpuresp", "retry", RoleLocal, RoleLocal, QResp))
 	b.rule("intrack@pending", whenAt("intrack", "pending"),
 		merge(msgSet("cpuresp", "intrack", RoleLocal, RoleLocal, QResp), map[string]string{"nxtintst": "idle"}))
-	return b.finish("intst")
+	return b.finish()
 }
 
 // BuildSyncSpec constructs the barrier/fence controller table SY.
@@ -497,7 +499,7 @@ func BuildSyncSpec() (*constraint.Spec, error) {
 	b.rule("sync@draining", whenAt("sync", "draining"), msgSet("cpuresp", "retry", RoleLocal, RoleLocal, QResp))
 	b.rule("syncack@draining", whenAt("syncack", "draining"),
 		merge(msgSet("cpuresp", "syncack", RoleLocal, RoleLocal, QResp), map[string]string{"nxtsyncst": "idle"}))
-	return b.finish("syncst")
+	return b.finish()
 }
 
 // SpecBuilders returns the eight controller spec builders keyed by table

@@ -191,7 +191,7 @@ func BuildDirectorySpec() (*constraint.Spec, error) {
 
 	// ---- transition rules -> output constraints --------------------------
 	rs := DirectoryRules()
-	if err := rs.CompileInto(s, "", outputNames(outCols)); err != nil {
+	if err := rs.CompileInto(s, false, outputNames(outCols)); err != nil {
 		return nil, err
 	}
 	return s, nil

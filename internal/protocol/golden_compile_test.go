@@ -34,9 +34,17 @@ func goldenSpecs(t *testing.T) map[string]*constraint.Spec {
 // the column domains. Each sample is driven the way the solver drives it:
 // one cache generation per base row, the constraint's fire column (its
 // last referenced column) swept across its full domain in one call.
+//
+// The hidden rule column's constraint is checked too. Its domain is one
+// lane per rule and the interpreter re-walks the whole chain per lane, so
+// on that column only the lanes the sweep kept plus a random sample of the
+// others are checked. Everything drawn for the rule column comes from its
+// own generator, so the environments drawn from the seed-42 generator are
+// the same as without the rule column.
 func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
-	const samples = 150
+	const samples, ruleLanes = 150, 32
 	rng := rand.New(rand.NewSource(42))
+	ruleRng := rand.New(rand.NewSource(43))
 	for name, spec := range goldenSpecs(t) {
 		cols := spec.Columns()
 		colIdx := spec.ColumnIndex()
@@ -46,10 +54,15 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 		}
 		dict := rel.SharedDict()
 		ev := spec.Evaluator()
-		for _, col := range spec.ColumnNames() {
+		for _, c := range cols {
+			col := c.Name
 			e := spec.Constraint(col)
 			if e == nil {
 				continue
+			}
+			draw := rng
+			if col == RuleColumn {
+				draw = ruleRng
 			}
 			fire := colIdx[col]
 			for ref := range sqlmini.Columns(e) {
@@ -71,7 +84,11 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 			env := make(sqlmini.MapEnv, len(cols))
 			for s := 0; s < samples; s++ {
 				for i := range cols {
-					v := domains[i][rng.Intn(len(domains[i]))]
+					r := draw
+					if cols[i].Name == RuleColumn {
+						r = ruleRng
+					}
+					v := domains[i][r.Intn(len(domains[i]))]
 					crow[i] = dict.Code(v)
 					env[cols[i].Name] = v
 				}
@@ -82,6 +99,9 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 				_, serr := prog.EvalSweepTrue(inst, crow, domain, keep)
 				var werrs error
 				for di, v := range domains[fire] {
+					if cols[fire].Name == RuleColumn && !keep[di] && ruleRng.Intn(len(domain)) >= ruleLanes {
+						continue
+					}
 					env[cols[fire].Name] = v
 					want, werr := ev.True(e, env)
 					werrs = errors.Join(werrs, werr)

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"coherdb/internal/constraint"
@@ -9,16 +10,14 @@ import (
 
 // Rule is one controller transition case: when the input condition When
 // holds, the output columns take the values in Set (outputs not listed are
-// NULL, i.e. noop). Rules are the authoring form; they compile into the
-// paper's per-column ternary constraint chains:
-//
-//	when1 ? col = v1 : when2 ? col = v2 : ... : col = NULL
-//
-// so the spec handed to the solver is exactly the paper's database input.
-// A rule's When must be written over input columns only; the first matching
-// rule (in order) defines every output of a row.
+// NULL, i.e. noop). Rules are the authoring form; a RuleSet compiles them
+// into column constraints the solver runs (see CompileInto). A rule's When
+// must be written over input columns only; the first rule (in order) whose
+// When is true defines every output of a row.
 type Rule struct {
-	// ID identifies the rule in diagnostics, e.g. "readex@SI".
+	// ID identifies the rule in diagnostics, e.g. "readex@SI". It is also
+	// the rule's value in the hidden rule column, so it must not contain
+	// a double quote.
 	ID string
 	// When is an input condition in the constraint dialect.
 	When string
@@ -62,71 +61,117 @@ func (rs *RuleSet) Len() int { return len(rs.rules) }
 // Rules returns the rules in order.
 func (rs *RuleSet) Rules() []Rule { return append([]Rule(nil), rs.rules...) }
 
-// CompileInto attaches the compiled constraints to spec: one ternary chain
-// per output column (over the rules that mention it, in priority order),
-// and a legality disjunction over all rule conditions attached to
-// legalityCol (pass "" to skip the legality constraint when per-column
-// input constraints already define legality exactly).
-func (rs *RuleSet) CompileInto(spec *constraint.Spec, legalityCol string, outputs []string) error {
-	if legalityCol != "" {
-		var sb strings.Builder
-		for i, r := range rs.rules {
-			if i > 0 {
-				sb.WriteString(" or ")
-			}
-			sb.WriteString("(")
-			sb.WriteString(r.When)
-			sb.WriteString(")")
+// RuleColumn is the hidden column CompileInto adds: the ID of the row's
+// first matching rule.
+const RuleColumn = "rule"
+
+// CompileInto attaches the compiled rules to spec as one hidden column,
+// RuleColumn, placed after the inputs, plus one rule-keyed constraint per
+// output column. The rule column takes the ID of the first rule whose
+// When is true (unknown counts as false):
+//
+//	when1 ? rule = "id1" : when2 ? rule = "id2" : ... : rule = NULL
+//
+// and each output column looks its value up by rule, one branch per
+// distinct value:
+//
+//	rule in ("id1", "id4") ? col = v1 : rule in ("id2") ? col = v2 : col = NULL
+//
+// so the solver walks the rule conditions once per input row, and each
+// output step groups rows by rule instead of re-walking them. With prune
+// set, the rule column has no NULL, so input rows no rule covers are
+// illegal and pruned; without it they stay, with every output NULL.
+//
+// CompileInto fails, naming the rule and column, when a rule sets a column
+// that is not in outputs, sets a value outside the column's domain, or has
+// an ID that cannot be written as a double-quoted literal.
+func (rs *RuleSet) CompileInto(spec *constraint.Spec, prune bool, outputs []string) error {
+	domains := make(map[string]map[string]bool, len(outputs))
+	for _, c := range spec.Columns() {
+		dom := make(map[string]bool, len(c.Values))
+		for _, v := range c.Values {
+			dom[v] = true
 		}
-		if err := spec.Constrain(legalityCol, sb.String()); err != nil {
-			return fmt.Errorf("protocol: legality constraint: %w", err)
+		domains[c.Name] = dom
+	}
+	isOut := make(map[string]bool, len(outputs))
+	for _, col := range outputs {
+		if _, ok := domains[col]; !ok {
+			return fmt.Errorf("protocol: output %q: %w", col, constraint.ErrNoColumn)
+		}
+		isOut[col] = true
+	}
+	ids := make([]string, len(rs.rules))
+	for i, r := range rs.rules {
+		if r.ID == "NULL" || strings.Contains(r.ID, `"`) {
+			return fmt.Errorf("protocol: rule %q: ID cannot be written as a double-quoted literal", r.ID)
+		}
+		ids[i] = r.ID
+		cols := make([]string, 0, len(r.Set))
+		for col := range r.Set {
+			cols = append(cols, col)
+		}
+		sort.Strings(cols)
+		for _, col := range cols {
+			v := r.Set[col]
+			if !isOut[col] {
+				return fmt.Errorf("protocol: rule %q sets %q, which is not an output column", r.ID, col)
+			}
+			if v != "NULL" && !domains[col][v] {
+				return fmt.Errorf("protocol: rule %q sets %s = %q, outside the column's domain", r.ID, col, v)
+			}
 		}
 	}
+	if err := spec.AddColumnAfterInputs(constraint.Column{
+		Name: RuleColumn, Kind: constraint.Hidden, Values: ids, NoNull: prune,
+	}); err != nil {
+		return fmt.Errorf("protocol: rule column: %w", err)
+	}
+
+	var sb strings.Builder
+	for _, r := range rs.rules {
+		sb.WriteString("(")
+		sb.WriteString(r.When)
+		sb.WriteString(") ? ")
+		sb.WriteString(eq(RuleColumn, r.ID))
+		sb.WriteString(" : ")
+	}
+	sb.WriteString(eq(RuleColumn, "NULL"))
+	if err := spec.Constrain(RuleColumn, sb.String()); err != nil {
+		return fmt.Errorf("protocol: rule constraint: %w", err)
+	}
 	for _, col := range outputs {
-		expr := rs.chainFor(col)
-		if expr == "" {
-			continue
-		}
-		if err := spec.Constrain(col, expr); err != nil {
+		if err := spec.Constrain(col, rs.lookupFor(col)); err != nil {
 			return fmt.Errorf("protocol: constraint for %s: %w", col, err)
 		}
 	}
 	return nil
 }
 
-// chainFor builds the ternary constraint chain for one output column.
-// Every rule participates (with NULL when it does not set the column) so
-// that rule priority is preserved even for overlapping conditions.
-func (rs *RuleSet) chainFor(col string) string {
+// lookupFor builds the rule-keyed constraint for one output column: one
+// branch per distinct non-NULL value (in order of first use) listing the
+// rules that set it, NULL for every other rule and for rows no rule covers.
+func (rs *RuleSet) lookupFor(col string) string {
+	var vals []string
+	byVal := make(map[string][]string)
+	for _, r := range rs.rules {
+		v, ok := r.Set[col]
+		if !ok || v == "NULL" {
+			continue
+		}
+		if _, seen := byVal[v]; !seen {
+			vals = append(vals, v)
+		}
+		byVal[v] = append(byVal[v], r.ID)
+	}
 	var sb strings.Builder
-	any := false
-	for _, r := range rs.rules {
-		v, ok := r.Set[col]
-		if ok && v != "NULL" {
-			any = true
-		}
-	}
-	if !any {
-		// A column no rule ever sets is noop everywhere.
-		return col + " = NULL"
-	}
-	for _, r := range rs.rules {
-		v, ok := r.Set[col]
-		if !ok {
-			v = "NULL"
-		}
-		sb.WriteString("(")
-		sb.WriteString(r.When)
-		sb.WriteString(") ? ")
-		sb.WriteString(col)
-		sb.WriteString(" = ")
-		sb.WriteString(quoteVal(v))
+	for _, v := range vals {
+		sb.WriteString(in(RuleColumn, byVal[v]...))
+		sb.WriteString(" ? ")
+		sb.WriteString(eq(col, v))
 		sb.WriteString(" : ")
 	}
-	// No rule matched: output must be NULL (such rows are pruned by the
-	// legality constraint anyway).
-	sb.WriteString(col)
-	sb.WriteString(" = NULL")
+	sb.WriteString(eq(col, "NULL"))
 	return sb.String()
 }
 
@@ -138,21 +183,6 @@ func quoteVal(v string) string {
 		return "NULL"
 	}
 	return `"` + v + `"`
-}
-
-// LegalityExpr returns the OR of all rule conditions — the set of legal
-// input combinations covered by the rules.
-func (rs *RuleSet) LegalityExpr() string {
-	var sb strings.Builder
-	for i, r := range rs.rules {
-		if i > 0 {
-			sb.WriteString(" or ")
-		}
-		sb.WriteString("(")
-		sb.WriteString(r.When)
-		sb.WriteString(")")
-	}
-	return sb.String()
 }
 
 // eq builds the atom `col = "value"` (or `col = NULL`).

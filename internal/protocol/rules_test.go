@@ -1,12 +1,13 @@
 package protocol
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"coherdb/internal/constraint"
 	"coherdb/internal/rel"
-	"coherdb/internal/sqlmini"
 )
 
 func TestRuleSetBasics(t *testing.T) {
@@ -18,9 +19,6 @@ func TestRuleSetBasics(t *testing.T) {
 	}
 	if got := rs.Rules(); len(got) != 2 || got[0].ID != "a" || got[1].ID != "b2" {
 		t.Fatalf("rules = %+v", got)
-	}
-	if rs.LegalityExpr() == "" {
-		t.Fatal("legality empty")
 	}
 }
 
@@ -54,7 +52,7 @@ func TestCompileRulePriority(t *testing.T) {
 	rs := NewRuleSet()
 	rs.Add(Rule{ID: "specific", When: `x = "1"`, Set: map[string]string{"y": "p"}}) // z stays NULL
 	rs.Add(Rule{ID: "general", When: `x <> NULL`, Set: map[string]string{"y": "q", "z": "r"}})
-	if err := rs.CompileInto(s, "x", []string{"y", "z"}); err != nil {
+	if err := rs.CompileInto(s, true, []string{"y", "z"}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _, err := constraint.Solve(s)
@@ -111,7 +109,7 @@ func TestQuickCompiledRulesMatchDirectEvaluation(t *testing.T) {
 		mustDo(t, spec.AddColumn(constraint.Column{Name: "in2", Values: inVals, NoNull: true}))
 		mustDo(t, spec.AddColumn(constraint.Column{Name: "out1", Kind: constraint.Output, Values: outVals}))
 		mustDo(t, spec.AddColumn(constraint.Column{Name: "out2", Kind: constraint.Output, Values: outVals}))
-		if err := rs.CompileInto(spec, "in1", []string{"out1", "out2"}); err != nil {
+		if err := rs.CompileInto(spec, true, []string{"out1", "out2"}); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := constraint.Solve(spec)
@@ -158,7 +156,7 @@ func TestCompileLegalityConstraintPrunes(t *testing.T) {
 	mustDo(t, s.AddColumn(constraint.Column{Name: "y", Kind: constraint.Output, Values: []string{"p"}}))
 	rs := NewRuleSet()
 	rs.Add(Rule{ID: "only1", When: `x = "1"`, Set: map[string]string{"y": "p"}})
-	if err := rs.CompileInto(s, "x", []string{"y"}); err != nil {
+	if err := rs.CompileInto(s, true, []string{"y"}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _, err := constraint.Solve(s)
@@ -176,9 +174,213 @@ func TestCompileInvalidConstraintSurfaces(t *testing.T) {
 	mustDo(t, s.AddOutput("y", "p"))
 	rs := NewRuleSet()
 	rs.Add(Rule{ID: "broken", When: `x = `, Set: map[string]string{"y": "p"}})
-	if err := rs.CompileInto(s, "x", []string{"y"}); err == nil {
+	if err := rs.CompileInto(s, true, []string{"y"}); err == nil {
 		t.Fatal("broken When must fail compilation")
 	}
+}
+
+// TestCompileRejectsBadRules checks that CompileInto fails, naming the
+// rule and the column, on rules that would otherwise be dropped or delete
+// every row they match without a word.
+func TestCompileRejectsBadRules(t *testing.T) {
+	cases := []struct {
+		name string
+		rule Rule
+		want []string // substrings of the error
+	}{
+		{"set-of-non-output", Rule{ID: "typo", Set: map[string]string{"yy": "p"}}, []string{`"typo"`, `"yy"`}},
+		{"value-outside-domain", Rule{ID: "stray", Set: map[string]string{"y": "q"}}, []string{`"stray"`, `y = "q"`}},
+		{"id-with-quote", Rule{ID: `say "hi"`}, []string{`say \"hi\"`, "double-quoted"}},
+		{"id-null", Rule{ID: "NULL"}, []string{`"NULL"`, "double-quoted"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := constraint.NewSpec("bad")
+			mustDo(t, s.AddInput("x", "1"))
+			mustDo(t, s.AddOutput("y", "p"))
+			rs := NewRuleSet()
+			c.rule.When = `x = "1"`
+			rs.Add(c.rule)
+			err := rs.CompileInto(s, true, []string{"y"})
+			if err == nil {
+				t.Fatal("CompileInto accepted the rule")
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %s", err, w)
+				}
+			}
+		})
+	}
+}
+
+// compileChains is the oracle for CompileInto: the per-column form the
+// rule compiler used before the rule column existed. Every output column
+// gets one ternary chain over all rules, in order,
+//
+//	when1 ? col = v1 : when2 ? col = v2 : ... : col = NULL
+//
+// and, when legalityCol is set, that column gets the disjunction of all
+// rule conditions, pruning input rows no rule covers.
+func compileChains(rs *RuleSet, spec *constraint.Spec, legalityCol string, outputs []string) error {
+	if legalityCol != "" {
+		conds := make([]string, len(rs.rules))
+		for i, r := range rs.rules {
+			conds[i] = "(" + r.When + ")"
+		}
+		if err := spec.Constrain(legalityCol, strings.Join(conds, " or ")); err != nil {
+			return err
+		}
+	}
+	for _, col := range outputs {
+		if err := spec.Constrain(col, chainFor(rs, col)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// chainFor builds the oracle's ternary chain for one output column. Every
+// rule takes part, with NULL when it does not set the column, so rule
+// priority holds for overlapping conditions.
+func chainFor(rs *RuleSet, col string) string {
+	sets := false
+	for _, r := range rs.rules {
+		if v, ok := r.Set[col]; ok && v != "NULL" {
+			sets = true
+		}
+	}
+	if !sets {
+		return col + " = NULL"
+	}
+	var sb strings.Builder
+	for _, r := range rs.rules {
+		v, ok := r.Set[col]
+		if !ok {
+			v = "NULL"
+		}
+		sb.WriteString("(" + r.When + ") ? " + eq(col, v) + " : ")
+	}
+	sb.WriteString(eq(col, "NULL"))
+	return sb.String()
+}
+
+// randomRuleSpec draws a small random controller: inputs over a few values
+// (NULL included or not), two outputs, and rules whose conditions overlap,
+// test NULL (including ordered comparisons, which are unknown on NULL),
+// set some, none or explicitly NULL outputs, and leave some input rows
+// uncovered.
+func randomRuleSpec(rng *rand.Rand) (cols []constraint.Column, rs *RuleSet, outputs []string) {
+	inVals := []string{"a", "b", "c"}
+	nin := 2 + rng.Intn(2)
+	for i := 0; i < nin; i++ {
+		cols = append(cols, constraint.Column{
+			Name: fmt.Sprintf("in%d", i+1), Values: inVals[:1+rng.Intn(3)], NoNull: rng.Intn(2) == 0,
+		})
+	}
+	outDoms := map[string][]string{"out1": {"p", "q"}, "out2": {"r", "s", "t"}}
+	outputs = []string{"out1", "out2"}
+	for _, o := range outputs {
+		cols = append(cols, constraint.Column{Name: o, Kind: constraint.Output, Values: outDoms[o]})
+	}
+	atom := func() string {
+		c := fmt.Sprintf("in%d", 1+rng.Intn(nin))
+		v := inVals[rng.Intn(len(inVals))]
+		switch rng.Intn(6) {
+		case 0:
+			return eq(c, v)
+		case 1:
+			return ne(c, v)
+		case 2:
+			return eq(c, "NULL")
+		case 3:
+			return ne(c, "NULL")
+		case 4:
+			return in(c, v, "NULL")
+		default:
+			return c + ` < "` + v + `"`
+		}
+	}
+	rs = NewRuleSet()
+	for k, n := 0, 1+rng.Intn(6); k < n; k++ {
+		when := atom()
+		switch rng.Intn(4) {
+		case 0:
+			when = all(when, atom())
+		case 1:
+			when = anyOf(when, atom())
+		case 2:
+			when = "not " + all(when, atom())
+		}
+		set := map[string]string{}
+		for _, o := range outputs {
+			switch rng.Intn(3) {
+			case 0:
+				set[o] = outDoms[o][rng.Intn(len(outDoms[o]))]
+			case 1:
+				if rng.Intn(2) == 0 {
+					set[o] = "NULL"
+				}
+			}
+		}
+		rs.Add(Rule{ID: fmt.Sprintf("r%d", k), When: when, Set: set})
+	}
+	return cols, rs, outputs
+}
+
+// TestRuleColumnMatchesPerColumnChains is the rule compiler's differential
+// check: on random rule sets, with and without pruning, the rule-indexed
+// spec solves — incrementally, monolithically and input columns alone — to
+// tables byte-identical to the per-column-chain oracle's.
+func TestRuleColumnMatchesPerColumnChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 300; trial++ {
+		cols, rs, outputs := randomRuleSpec(rng)
+		prune := rng.Intn(2) == 0
+		got, want := constraint.NewSpec("q"), constraint.NewSpec("q")
+		for _, c := range cols {
+			mustDo(t, got.AddColumn(c))
+			mustDo(t, want.AddColumn(c))
+		}
+		if err := rs.CompileInto(got, prune, outputs); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		legalityCol := ""
+		if prune {
+			legalityCol = cols[rng.Intn(2)].Name
+		}
+		if err := compileChains(rs, want, legalityCol, outputs); err != nil {
+			t.Fatalf("trial %d: oracle: %v", trial, err)
+		}
+		solvers := map[string]func(*constraint.Spec) (*rel.Table, constraint.Stats, error){
+			"solve":      constraint.Solve,
+			"monolithic": constraint.Monolithic,
+			"inputs":     constraint.GenerateInputs,
+		}
+		for name, solve := range solvers {
+			g, _, err := solve(got)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			w, _, err := solve(want)
+			if err != nil {
+				t.Fatalf("trial %d %s: oracle: %v", trial, name, err)
+			}
+			if gc, wc := csvOf(t, g), csvOf(t, w); gc != wc {
+				t.Fatalf("trial %d %s (prune=%v): rule-indexed table differs from the oracle's\nrules: %+v\ngot:\n%s\nwant:\n%s",
+					trial, name, prune, rs.Rules(), gc, wc)
+			}
+		}
+	}
+}
+
+func csvOf(t *testing.T, tab *rel.Table) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := tab.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 func mustDo(t testing.TB, err error) {
@@ -187,5 +389,3 @@ func mustDo(t testing.TB, err error) {
 		t.Fatal(err)
 	}
 }
-
-var _ = sqlmini.MapEnv{}

@@ -6,12 +6,14 @@
 // format protocol architects edit during revisions.
 //
 // Grammar (line oriented; "--" starts a comment; keyword sections may span
-// lines until the next keyword):
+// lines until the next keyword; a hidden column is solved like the others
+// but left out of the generated table):
 //
 //	table D_readex
 //	input  inmsg = readex, data, idone  nonull
 //	input  dirst = I, SI, Busy-sd, Busy-d, Busy-s
 //	output remmsg = sinv
+//	hidden rule = readex@SI, data@Busy-d
 //	constrain remmsg:
 //	    inmsg = readex and dirst = SI ? remmsg = sinv : remmsg = NULL
 //	check pv-consistent "state and vector agree":
@@ -89,7 +91,7 @@ func Parse(r io.Reader) (*File, error) {
 				bodyBuf.WriteByte('\n')
 			}
 			continue
-		case "table", "input", "output", "constrain", "check":
+		case "table", "input", "output", "hidden", "constrain", "check":
 			if err := flush(); err != nil {
 				return nil, err
 			}
@@ -112,11 +114,11 @@ func Parse(r io.Reader) (*File, error) {
 				return nil, errLine(ln.n, "table needs a name")
 			}
 			f.Spec = constraint.NewSpec(rest)
-		case "input", "output":
+		case "input", "output", "hidden":
 			if f.Spec == nil {
 				return nil, errLine(ln.n, "%s before table declaration", keyword)
 			}
-			col, err := parseColumn(rest, keyword == "input", ln.n)
+			col, err := parseColumn(rest, columnKinds[keyword], ln.n)
 			if err != nil {
 				return nil, err
 			}
@@ -186,16 +188,18 @@ func firstWord(s string) string {
 	return s
 }
 
+// columnKinds maps the column keywords to their kinds.
+var columnKinds = map[string]constraint.ColumnKind{
+	"input": constraint.Input, "output": constraint.Output, "hidden": constraint.Hidden,
+}
+
 // parseColumn parses "name = v1, v2, ... [nonull]".
-func parseColumn(rest string, input bool, line int) (constraint.Column, error) {
+func parseColumn(rest string, kind constraint.ColumnKind, line int) (constraint.Column, error) {
 	name, vals, ok := strings.Cut(rest, "=")
 	if !ok {
 		return constraint.Column{}, errLine(line, "column needs 'name = values'")
 	}
-	col := constraint.Column{Name: strings.TrimSpace(name)}
-	if !input {
-		col.Kind = constraint.Output
-	}
+	col := constraint.Column{Name: strings.TrimSpace(name), Kind: kind}
 	if col.Name == "" {
 		return constraint.Column{}, errLine(line, "column needs a name")
 	}
@@ -240,11 +244,7 @@ func Write(w io.Writer, f *File) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "-- coherdb controller specification\ntable %s\n\n", f.Spec.Name)
 	for _, col := range f.Spec.Columns() {
-		kw := "input "
-		if col.Kind == constraint.Output {
-			kw = "output"
-		}
-		fmt.Fprintf(bw, "%s %s = %s", kw, col.Name, strings.Join(col.Values, ", "))
+		fmt.Fprintf(bw, "%-6s %s = %s", col.Kind, col.Name, strings.Join(col.Values, ", "))
 		if col.NoNull {
 			fmt.Fprint(bw, "  nonull")
 		}

@@ -260,3 +260,46 @@ constrain a:
 		t.Fatalf("rows = %d\n%s", tab.NumRows(), tab)
 	}
 }
+
+func TestHiddenColumnRoundTrip(t *testing.T) {
+	const src = `
+table T
+input  x = 1, 2, 3  nonull
+hidden rule = one, two  nonull
+output y = p, q
+constrain rule:
+    x = "1" ? rule = one : x = "2" ? rule = two : rule = NULL
+constrain y:
+    rule in (one) ? y = p : y = q
+`
+	f, err := Parse(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := f.Spec.Columns()
+	if len(cols) != 3 || cols[1].Name != "rule" || cols[1].Kind != constraint.Hidden || !cols[1].NoNull {
+		t.Fatalf("columns = %+v", cols)
+	}
+	var sb strings.Builder
+	if err := Write(&sb, f); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\nhidden rule = one, two  nonull\n") {
+		t.Fatalf("Write lost the hidden column:\n%s", sb.String())
+	}
+	again, err := Parse(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("re-parse: %v\n%s", err, sb.String())
+	}
+	tab, _, err := constraint.Solve(again.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	if err := tab.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if got := csv.String(); got != "x,y\n1,p\n2,q\n" {
+		t.Fatalf("solved round-tripped spec =\n%s", got)
+	}
+}

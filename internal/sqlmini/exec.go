@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -508,22 +509,72 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 	return r.filterFrame(frameOf(t, ref.Alias), sp.filters, nil)
 }
 
+// groupKeys numbers distinct group keys in order of first appearance. It
+// stores no keys itself: slots is an open-addressing table of group
+// numbers plus one (0 is empty) probed by key hash, hashes holds each
+// group's hash, and the caller tells whether a group's key equals the
+// probed one.
+type groupKeys struct {
+	slots  []int32
+	hashes []uint64
+}
+
+// newGroupKeys sizes the table for n keys at most half full, so it never
+// grows while grouping n rows.
+func newGroupKeys(n int) *groupKeys {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	return &groupKeys{slots: make([]int32, size)}
+}
+
+// intern returns the group with hash h for which same reports true, or
+// adds and returns a new group.
+func (k *groupKeys) intern(h uint64, same func(g int32) bool) int32 {
+	if 2*(len(k.hashes)+1) > len(k.slots) {
+		k.grow()
+	}
+	mask := uint64(len(k.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := k.slots[i]
+		if s == 0 {
+			g := int32(len(k.hashes))
+			k.hashes = append(k.hashes, h)
+			k.slots[i] = g + 1
+			return g
+		}
+		if g := s - 1; k.hashes[g] == h && same(g) {
+			return g
+		}
+	}
+}
+
+// grow doubles the table and reinserts every group by its stored hash.
+func (k *groupKeys) grow() {
+	k.slots = make([]int32, 2*len(k.slots))
+	mask := uint64(len(k.slots) - 1)
+	for g, h := range k.hashes {
+		i := h & mask
+		for k.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		k.slots[i] = int32(g + 1)
+	}
+}
+
+func (k *groupKeys) len() int32 { return int32(len(k.hashes)) }
+
 // execGrouped evaluates a GROUP BY query: rows are bucketed by the group
 // expressions; each bucket yields one output row, with COUNT(*) bound to
 // the bucket size for the select list and the HAVING filter.
 func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
 	r.qs.phase(obs.PhaseAggregate)
-	type group struct {
-		rows [][]uint32
-	}
-	var order []string
-	groups := map[string]*group{}
-	// Group keys: 4 bytes per grouping expression — direct column
-	// references append their code straight off the row, everything else
-	// evaluates through one reused Env and interns its result. Codes are
-	// injective over values, so code-byte keys bucket exactly as value
-	// keys did; the string allocation happens only the first time a group
-	// is seen (the map probe with string(buf) does not allocate).
+	// Group keys are the dictionary codes of the grouping expressions —
+	// direct column references read their code straight off the row,
+	// everything else evaluates through one reused Env and interns its
+	// result. Codes are injective over values, so code keys bucket exactly
+	// as value keys do.
 	gidx := make([]int, len(s.GroupBy))
 	for i, ge := range s.GroupBy {
 		gidx[i] = -1
@@ -531,11 +582,38 @@ func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
 			gidx[i] = f.resolve(c.Qualifier, c.Name)
 		}
 	}
+	// A group's key is compared against its first row: column keys read
+	// that row's codes, and computed keys (ncomp per group) are kept in
+	// computed.
+	ncomp := 0
+	for _, j := range gidx {
+		if j < 0 {
+			ncomp++
+		}
+	}
+	groups := newGroupKeys(len(f.rows))
+	var (
+		first    []int32 // each group's first row
+		computed []uint32
+		comp     = make([]uint32, 0, ncomp)
+		buf      []byte
+		row      []uint32
+	)
+	same := func(g int32) bool {
+		rep := f.rows[first[g]]
+		for _, j := range gidx {
+			if j >= 0 && rep[j] != row[j] {
+				return false
+			}
+		}
+		return slices.Equal(computed[int(g)*ncomp:int(g+1)*ncomp], comp)
+	}
+	gids := make([]int32, len(f.rows))
 	env := &frameEnv{f: f}
-	var buf []byte
-	for _, row := range f.rows {
+	for ri := range f.rows {
+		row = f.rows[ri]
 		env.row = row
-		buf = buf[:0]
+		buf, comp = buf[:0], comp[:0]
 		for i, ge := range s.GroupBy {
 			var c uint32
 			if j := gidx[i]; j >= 0 {
@@ -546,17 +624,32 @@ func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
 					return nil, err
 				}
 				c = dict.Code(v)
+				comp = append(comp, c)
 			}
 			buf = rel.AppendCodeKey(buf, c)
 		}
-		g, ok := groups[string(buf)]
-		if !ok {
-			key := string(buf)
-			g = &group{}
-			groups[key] = g
-			order = append(order, key)
+		g := groups.intern(rel.HashBytes(buf), same)
+		if int(g) == len(first) {
+			first = append(first, int32(ri))
+			computed = append(computed, comp...)
 		}
-		g.rows = append(g.rows, row)
+		gids[ri] = g
+	}
+	ngroups := groups.len()
+	// One member slice holds every group's row numbers back to back, each
+	// group's in input order; start[g] is where group g begins.
+	start := make([]int32, ngroups+1)
+	for _, g := range gids {
+		start[g+1]++
+	}
+	for g := int32(1); g <= ngroups; g++ {
+		start[g] += start[g-1]
+	}
+	next := append([]int32(nil), start[:ngroups]...)
+	members := make([]int32, len(f.rows))
+	for ri, g := range gids {
+		members[next[g]] = int32(ri)
+		next[g]++
 	}
 	cols, exprs, err := projection(s.Items, f)
 	if err != nil {
@@ -566,15 +659,37 @@ func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, key := range order {
-		g := groups[key]
-		genv := frameEnv{f: f, row: g.rows[0]}
-		if s.Having != nil {
-			h, err := r.rewriteAggs(s.Having, f, g.rows)
+	// HAVING and the select items are rewritten once, their aggregate
+	// calls bound to slots of genv; per group, each expression's slots are
+	// filled just before it is evaluated, as a per-group rewrite would.
+	var aggs []Call
+	having := slotAggs(s.Having, len(f.names), &aggs)
+	ends := make([]int, len(exprs)+1) // expression i's slots end at ends[i+1]
+	ends[0] = len(aggs)
+	for i, e := range exprs {
+		exprs[i] = slotAggs(e, len(f.names), &aggs)
+		ends[i+1] = len(aggs)
+	}
+	genv := &groupEnv{frameEnv: frameEnv{f: f}, width: len(f.names), aggs: make([]rel.Value, len(aggs))}
+	fill := func(lo, hi int, rows []int32) error {
+		for k := lo; k < hi; k++ {
+			v, err := r.aggValue(aggs[k], f, rows)
 			if err != nil {
+				return err
+			}
+			genv.aggs[k] = v
+		}
+		return nil
+	}
+	vals := make([]rel.Value, len(exprs))
+	for g := int32(0); g < ngroups; g++ {
+		rows := members[start[g]:start[g+1]]
+		genv.row = f.rows[rows[0]]
+		if having != nil {
+			if err := fill(0, ends[0], rows); err != nil {
 				return nil, err
 			}
-			keep, err := r.ev.True(h, &genv)
+			keep, err := r.ev.True(having, genv)
 			if err != nil {
 				return nil, err
 			}
@@ -582,13 +697,11 @@ func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
 				continue
 			}
 		}
-		vals := make([]rel.Value, len(exprs))
 		for i, e := range exprs {
-			re, err := r.rewriteAggs(e, f, g.rows)
-			if err != nil {
+			if err := fill(ends[i], ends[i+1], rows); err != nil {
 				return nil, err
 			}
-			v, err := r.ev.Eval(re, &genv)
+			v, err := r.ev.Eval(e, genv)
 			if err != nil {
 				return nil, err
 			}
@@ -724,138 +837,103 @@ func containsAgg(e Expr) bool {
 	return false
 }
 
-// rewriteAggs replaces aggregate calls (count_star, agg_min, agg_max) in
-// an expression with literals computed over the group's rows, so the
-// remaining expression evaluates against the group's representative row.
-// Aggregate-free expressions are returned as-is: rewriting them would
-// produce an identical copy per group.
-func (r *run) rewriteAggs(e Expr, f *frame, rows [][]uint32) (Expr, error) {
-	if !containsAgg(e) {
-		return e, nil
+// aggValue computes one aggregate call (count_star, agg_min, agg_max) over
+// a group's rows, given by their numbers in f.
+func (r *run) aggValue(x Call, f *frame, rows []int32) (rel.Value, error) {
+	if x.Name == "count_star" {
+		return rel.I(int64(len(rows))), nil
 	}
+	if len(x.Args) != 1 {
+		return rel.Null(), fmt.Errorf("%w: %s wants 1 argument", ErrType, x.Name)
+	}
+	env := &frameEnv{f: f}
+	best := rel.Null()
+	for _, ri := range rows {
+		env.row = f.rows[ri]
+		v, err := r.ev.Eval(x.Args[0], env)
+		if err != nil {
+			return rel.Null(), err
+		}
+		if v.IsNull() {
+			continue // aggregates skip NULLs
+		}
+		if best.IsNull() ||
+			(x.Name == "agg_min" && v.Compare(best) < 0) ||
+			(x.Name == "agg_max" && v.Compare(best) > 0) {
+			best = v
+		}
+	}
+	return best, nil
+}
+
+// groupEnv evaluates a grouped query's expressions for one group: columns
+// read the group's first row, and the positions from width on read the
+// group's aggregate values, where slotAggs bound the aggregate calls.
+type groupEnv struct {
+	frameEnv
+	width int
+	aggs  []rel.Value
+}
+
+// At implements posEnv over the row and the aggregate slots after it.
+func (e *groupEnv) At(i int) (rel.Value, bool) {
+	if k := i - e.width; k >= 0 {
+		if k < len(e.aggs) {
+			return e.aggs[k], true
+		}
+		return rel.Null(), false
+	}
+	return e.frameEnv.At(i)
+}
+
+// slotAggs rewrites e once per query for a groupEnv: each aggregate call
+// (count_star, agg_min, agg_max) becomes a plan-bound reference to
+// position width+k, where k is the call's index in *aggs, to which it is
+// appended. Aggregate-free subtrees are returned as-is.
+func slotAggs(e Expr, width int, aggs *[]Call) Expr {
+	if !containsAgg(e) {
+		return e
+	}
+	sub := func(e Expr) Expr { return slotAggs(e, width, aggs) }
 	switch x := e.(type) {
 	case Call:
-		switch x.Name {
-		case "count_star":
-			return Lit{Val: rel.I(int64(len(rows)))}, nil
-		case "agg_min", "agg_max":
-			if len(x.Args) != 1 {
-				return nil, fmt.Errorf("%w: %s wants 1 argument", ErrType, x.Name)
-			}
-			best := rel.Null()
-			for _, row := range rows {
-				v, err := r.ev.Eval(x.Args[0], frameEnv{f: f, row: row})
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() {
-					continue // aggregates skip NULLs
-				}
-				if best.IsNull() ||
-					(x.Name == "agg_min" && v.Compare(best) < 0) ||
-					(x.Name == "agg_max" && v.Compare(best) > 0) {
-					best = v
-				}
-			}
-			return Lit{Val: best}, nil
+		if isAgg(x.Name) {
+			*aggs = append(*aggs, x)
+			return boundCol{Col: Col{Name: x.String()}, Idx: width + len(*aggs) - 1}
 		}
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			ra, err := r.rewriteAggs(a, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ra
+			args[i] = sub(a)
 		}
-		return Call{Name: x.Name, Args: args}, nil
+		return Call{Name: x.Name, Args: args}
 	case Unary:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Unary{Op: x.Op, X: rx}, nil
+		return Unary{Op: x.Op, X: sub(x.X)}
 	case Binary:
-		l, err := r.rewriteAggs(x.L, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.rewriteAggs(x.R, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Binary{Op: x.Op, L: l, R: rr}, nil
+		return Binary{Op: x.Op, L: sub(x.L), R: sub(x.R)}
 	case InList:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
 		set := make([]Expr, len(x.Set))
 		for i, sx := range x.Set {
-			rs, err := r.rewriteAggs(sx, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			set[i] = rs
+			set[i] = sub(sx)
 		}
-		return InList{X: rx, Set: set, Negate: x.Negate}, nil
+		return InList{X: sub(x.X), Set: set, Negate: x.Negate}
 	case IsNull:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return IsNull{X: rx, Negate: x.Negate}, nil
+		return IsNull{X: sub(x.X), Negate: x.Negate}
 	case Between:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := r.rewriteAggs(x.Lo, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.rewriteAggs(x.Hi, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Between{X: rx, Lo: lo, Hi: hi, Negate: x.Negate}, nil
+		return Between{X: sub(x.X), Lo: sub(x.Lo), Hi: sub(x.Hi), Negate: x.Negate}
 	case Ternary:
-		c, err := r.rewriteAggs(x.Cond, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		tn, err := r.rewriteAggs(x.Then, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		el, err := r.rewriteAggs(x.Else, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Ternary{Cond: c, Then: tn, Else: el}, nil
+		return Ternary{Cond: sub(x.Cond), Then: sub(x.Then), Else: sub(x.Else)}
 	case Case:
 		whens := make([]When, len(x.Whens))
 		for i, w := range x.Whens {
-			c, err := r.rewriteAggs(w.Cond, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.rewriteAggs(w.Val, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = When{Cond: c, Val: v}
+			whens[i] = When{Cond: sub(w.Cond), Val: sub(w.Val)}
 		}
 		var els Expr
 		if x.Else != nil {
-			var err error
-			els, err = r.rewriteAggs(x.Else, f, rows)
-			if err != nil {
-				return nil, err
-			}
+			els = sub(x.Else)
 		}
-		return Case{Whens: whens, Else: els}, nil
+		return Case{Whens: whens, Else: els}
 	default:
-		return e, nil
+		return e
 	}
 }
 

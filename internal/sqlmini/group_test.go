@@ -201,3 +201,69 @@ func TestGroupByErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestGroupKeysProbesPastHashCollisions(t *testing.T) {
+	k := newGroupKeys(1)
+	// Every key below shares hash 7, so groups are told apart only by
+	// probing past the collisions and comparing keys; the table starts at
+	// 8 slots, so the later keys also cross a grow.
+	keys := []string{"ab", "ba", "ab", "cc", "ba", "cc", "d", "e", "f", "g", "d", "ab", "g"}
+	want := []int32{0, 1, 0, 2, 1, 2, 3, 4, 5, 6, 3, 0, 6}
+	var stored []string
+	for i, key := range keys {
+		g := k.intern(7, func(g int32) bool { return stored[g] == key })
+		if g != want[i] {
+			t.Fatalf("key %q: group %d, want %d", key, g, want[i])
+		}
+		if int(g) == len(stored) {
+			stored = append(stored, key)
+		}
+	}
+	if g := k.intern(8, func(g int32) bool { return stored[g] == "ab" }); g != 7 {
+		t.Fatalf("same key under another hash: group %d, want 7", g)
+	}
+	if k.len() != 8 {
+		t.Fatalf("len = %d, want 8", k.len())
+	}
+}
+
+func TestAggregatesInsideExpressions(t *testing.T) {
+	db := groupDB(t)
+	res, err := db.Query(`SELECT vc, CASE WHEN COUNT(*) > 1 THEN MIN(m) ELSE MAX(class) END AS x
+		FROM msgs GROUP BY vc HAVING NOT COUNT(*) = 3 ORDER BY vc`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]string{{"VC0", "read"}, {"VC1", "request"}, {"VC2", "response"}, {"VC3", "compl"}}
+	if res.NumRows() != len(want) {
+		t.Fatalf("rows = %d\n%s", res.NumRows(), res)
+	}
+	for i, w := range want {
+		if got := [2]string{res.Get(i, "vc").String(), res.Get(i, "x").String()}; got != w {
+			t.Fatalf("row %d = %v, want %v\n%s", i, got, w, res)
+		}
+	}
+}
+
+func TestGroupByComputedKeys(t *testing.T) {
+	db := groupDB(t)
+	db.Register("cat", func(args []rel.Value) (rel.Value, error) {
+		return rel.S(args[0].String() + args[1].String()), nil
+	})
+	for _, q := range []string{
+		`SELECT COUNT(*) AS n FROM msgs GROUP BY cat(class, vc)`,
+		`SELECT class, COUNT(*) AS n FROM msgs GROUP BY class, cat(vc, 'x')`,
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := int64(0)
+		for i := 0; i < res.NumRows(); i++ {
+			total += res.Get(i, "n").Int()
+		}
+		if res.NumRows() != 4 || total != 6 { // as in TestGroupByMultipleKeys
+			t.Fatalf("%s: %d groups over %d rows\n%s", q, res.NumRows(), total, res)
+		}
+	}
+}

@@ -483,10 +483,11 @@ var (
 
 // maxCachedExprLen bounds which expression texts are retained. Short
 // hand-written constraints dominate solver runs and are worth keeping;
-// the rule compiler's generated multi-kilobyte ternary chains are parsed
-// once per generation and retaining their pointer-dense trees for the
-// process lifetime taxes every later GC cycle more than the re-parse
-// costs.
+// the rule compiler's generated texts — one rule chain per controller
+// (~50 KB for D) and one rule-keyed lookup per output column — are
+// parsed once per spec build, and retaining their pointer-dense trees
+// for the process lifetime taxes every later GC cycle more than the
+// re-parse costs.
 const maxCachedExprLen = 256
 
 // ParseExprCached is ParseExpr behind a process-wide bounded cache, for

@@ -18,8 +18,8 @@
 # hot path must never produce a green benchmark report.
 #
 # The default pattern covers the generation-sensitive benchmarks (the
-# compiled-kernel solver on table D, all eight controller tables, and the
-# Fig. 3 incremental sweep)
+# compiled-kernel solver on table D, all eight controller tables, building
+# the eight specs from their rules, and the Fig. 3 incremental sweep)
 # plus the planner-sensitive ones: the invariant suite (the paper's
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
@@ -34,8 +34,9 @@
 # line-protocol clients, p99-ns its tail), and the SQL deadlock analysis
 # (BenchmarkVCGConstruction per §4.2 assignment — the pipeline's deadlock
 # phase runs all three — plus the A1 closure and A2 placement ablations). The race gates also cover
-# the lock-free metrics plane, the segment store and the
-# segmented-vs-serial model-checker equivalence, the
+# the lock-free metrics plane, concurrent generation of the eight
+# controller tables (GenerateAll against serial solves), the segment
+# store and the segmented-vs-serial model-checker equivalence, the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), and
 # TestNilTracerOverheadBound enforces the <5% off-path instrumentation
@@ -51,7 +52,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkSQLResidueFilter$|BenchmarkSQLUpdateRow|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkBuildAllSpecs$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkSQLResidueFilter$|BenchmarkSQLUpdateRow|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
@@ -88,6 +89,9 @@ go test -race ./internal/rel/...
 echo "== race-detector solver tests =="
 race_run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar' \
     ./internal/constraint/ ./internal/sqlmini/
+
+echo "== race-detector protocol generation =="
+race_run 'TestGenerateAllMatchesSerialSolves' ./internal/protocol/
 
 echo "== race-detector parallel-executor tests =="
 race_run 'TestParallelMatchesSerial|TestParallelMatchesSerialControllers|TestConcurrentParallelSelects|TestParallelWorkerStats|TestResidueRunsOnPool|TestEach' \
