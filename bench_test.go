@@ -178,7 +178,7 @@ func BenchmarkConstraintKernel(b *testing.B) {
 				fire = ix[ref]
 			}
 		}
-		prog, err := ev.CompileSweepVec(e, ix, fire)
+		prog, err := ev.CompileSweep(e, ix, fire)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,13 +186,10 @@ func BenchmarkConstraintKernel(b *testing.B) {
 		for i, v := range row {
 			crow[i] = rel.SharedDict().Code(v)
 		}
-		in := prog.Instance()
-		keep := []bool{true}
+		sel := []uint32{0}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			in.NextRow()
-			keep[0] = true
-			if _, err := prog.EvalSweepTrue(in, crow, crow[fire:fire+1], keep); err != nil {
+			if _, err := prog.EvalSweep(crow, crow[fire:fire+1], sel[:1]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"coherdb/internal/rel"
-	"coherdb/internal/sqlmini"
 )
 
 // extendStats reports one extension step's work.
@@ -80,7 +79,7 @@ func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledC
 
 	// Evaluate each distinct (projection, value) pair once, in parallel.
 	verdicts := make([]bool, len(reps)*dlen)
-	if err := evalGroups(cur, width, domain, fire, reps, verdicts, workers); err != nil {
+	if err := evalGroups(cur, domain, fire, reps, verdicts, workers); err != nil {
 		return nil, st, err
 	}
 
@@ -97,74 +96,61 @@ func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledC
 // entirely below this; see BENCH_8.json for the tuning.
 const sweepSmallJob = 4096
 
-// sweeper is one goroutine's evaluation state for a set of compiled
-// constraints: one pooled Instance per sweep program, plus a scratch row
-// whose last position the sweeps may overwrite.
+// sweeper is one goroutine's scratch for a set of compiled constraints:
+// the selection vector of lanes the cascade filters.
 type sweeper struct {
-	cc    []compiledConstraint
-	insts []*sqlmini.Instance
-	row   []uint32
+	cc  []compiledConstraint
+	sel []uint32
 }
 
-func newSweeper(cc []compiledConstraint, width int) sweeper {
-	s := sweeper{cc: cc, insts: make([]*sqlmini.Instance, len(cc)), row: make([]uint32, width)}
-	for i, c := range cc {
-		s.insts[i] = c.sweep.Instance()
+// cascade runs the constraints on row with their fire column swept across
+// domain, each filtering the lanes the previous ones kept and stopping
+// once none are left, and returns the lanes on which all of them are
+// definitely true. The result aliases the sweeper's scratch.
+func (s *sweeper) cascade(row, domain []uint32) ([]uint32, error) {
+	if cap(s.sel) < len(domain) {
+		s.sel = make([]uint32, len(domain))
 	}
-	return s
-}
-
-// release returns the instances to their programs' pools.
-func (s *sweeper) release() {
-	for i, c := range s.cc {
-		c.sweep.Release(s.insts[i])
+	sel := s.sel[:len(domain)]
+	for i := range sel {
+		sel[i] = uint32(i)
 	}
-}
-
-// eval runs constraint i on row with its fire column swept across domain,
-// clearing keep[di] where the constraint is not definitely true. It
-// reports whether any lane survives. row's fire position is scratch.
-func (s *sweeper) eval(i int, row, domain []uint32, keep []bool) (bool, error) {
-	s.insts[i].NextRow()
-	return s.cc[i].sweep.EvalSweepTrue(s.insts[i], row, domain, keep)
+	for _, c := range s.cc {
+		var err error
+		if sel, err = c.pred.EvalSweep(row, domain, sel); err != nil || len(sel) == 0 {
+			return sel, err
+		}
+	}
+	return sel, nil
 }
 
 // decide fills the verdict lanes of groups [lo, hi): each group's
-// representative row is extended with the whole domain, and the
-// constraints conjoin by AND-ing into the group's lanes, stopping early
-// when no lane survives.
+// representative row is extended with the whole domain, and the lanes
+// the cascade keeps are marked true; verdicts starts all false.
 func (s *sweeper) decide(cur [][]uint32, domain []uint32, reps []int32, verdicts []bool, lo, hi int) error {
 	dlen := len(domain)
 	for g := lo; g < hi; g++ {
-		copy(s.row, cur[reps[g]])
-		keep := verdicts[g*dlen : (g+1)*dlen]
-		for di := range keep {
-			keep[di] = true
+		sel, err := s.cascade(cur[reps[g]], domain)
+		if err != nil {
+			return err
 		}
-		for i := range s.cc {
-			any, err := s.eval(i, s.row, domain, keep)
-			if err != nil {
-				return err
-			}
-			if !any {
-				break
-			}
+		for _, di := range sel {
+			verdicts[g*dlen+int(di)] = true
 		}
 	}
 	return nil
 }
 
 // evalGroups fills verdicts[g*len(domain)+di] for every group g and domain
-// index di by running the fire programs on the group's representative row
-// extended with domain[di]. One EvalSweepTrue call decides the whole
+// index di by running the fire predicates on the group's representative
+// row extended with domain[di]. One EvalSweep call decides the whole
 // domain for one (group, constraint) pair, evaluating sweep-stable rule
 // conditions once per group and the sweep-reading leaves as tight loops
 // over the domain's code vector.
-func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
+func evalGroups(cur [][]uint32, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
 	if workers <= 1 || len(reps)*len(domain) < sweepSmallJob {
 		// Small-step fast path: sweep inline on the calling goroutine.
-		sw := newSweeper(fire, width)
-		defer sw.release()
+		sw := sweeper{cc: fire}
 		return sw.decide(cur, domain, reps, verdicts, 0, len(reps))
 	}
 	cursor := newBatchCursor(uint64(len(reps)), workers)
@@ -178,8 +164,7 @@ func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConst
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sw := newSweeper(fire, width)
-			defer sw.release()
+			sw := sweeper{cc: fire}
 			for {
 				_, lo, hi, ok := cursor.grab()
 				if !ok {

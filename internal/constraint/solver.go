@@ -8,7 +8,6 @@ import (
 
 	"coherdb/internal/obs"
 	"coherdb/internal/rel"
-	"coherdb/internal/sqlmini"
 )
 
 // Stats reports the work done by a solve.
@@ -295,13 +294,8 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 		go func(w int) {
 			defer wg.Done()
 			var arena codeArena
-			// Each constraint runs as a one-lane sweep over the value its
-			// fire column already holds; enumeration changes many columns
-			// between candidates, so every evaluation starts a new row.
-			sw := newSweeper(cc, width)
-			defer sw.release()
-			row := sw.row
-			keep := []bool{true}
+			row := make([]uint32, width)
+			lane := []uint32{0}
 			for {
 				bi, lo, hi, ok := cursor.grab()
 				if !ok {
@@ -317,20 +311,21 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 						rem /= uint64(len(d))
 					}
 					tested[w]++
-					ok := true
-					for i, c := range cc {
-						keep[0] = true
-						t, err := sw.eval(i, row, row[c.fire:c.fire+1], keep)
-						if err != nil {
+					// A cascade over one lane: each constraint runs as a
+					// one-lane sweep over the value its fire column already
+					// holds, and the first to drop the lane rejects the row.
+					sel := lane[:1]
+					for _, c := range cc {
+						var err error
+						if sel, err = c.pred.EvalSweep(row, row[c.fire:c.fire+1], sel); err != nil {
 							errs[w] = err
 							return
 						}
-						if !t {
-							ok = false
+						if len(sel) == 0 {
 							break
 						}
 					}
-					if ok {
+					if len(sel) == 1 {
 						nr := arena.row(width)
 						copy(nr, row)
 						out = append(out, nr)
@@ -356,60 +351,4 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	stats.Rows = out.NumRows()
 	stats.Pruned = stats.Candidates - uint64(stats.Rows)
 	return out, stats, nil
-}
-
-// InputSpec projects the spec onto its input columns: the sub-spec whose
-// solution is the table of all legal input combinations. It keeps the
-// input columns, plus every hidden column whose constraint reads only
-// kept columns (so legality a hidden column encodes, such as the rule
-// column's coverage pruning, still applies), and the constraints of kept
-// columns that read only kept columns. The sub-spec shares the parent's
-// function table and inherits its mutation stamps, so rebuilding
-// InputSpec from an unchanged parent yields a sub-spec an
-// IncrementalSolver recognizes as identical.
-func InputSpec(spec *Spec) (*Spec, error) {
-	sub := NewSpec(spec.Name + "_inputs")
-	sub.funcs = spec.funcs
-	sub.funcGen = spec.funcGen
-	sub.genCtr = spec.genCtr
-	kept := make(map[string]struct{})
-	readsKept := func(col string) bool {
-		e := spec.constraints[col]
-		if e == nil {
-			return false
-		}
-		for ref := range sqlmini.Columns(e) {
-			if _, ok := kept[ref]; !ok && ref != col {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range spec.cols {
-		if c.Kind == Output || (c.Kind == Hidden && !readsKept(c.Name)) {
-			continue
-		}
-		if err := sub.AddColumn(c); err != nil {
-			return nil, err
-		}
-		kept[c.Name] = struct{}{}
-	}
-	for col := range kept {
-		if readsKept(col) {
-			sub.constraints[col] = spec.constraints[col]
-			sub.conGen[col] = spec.conGen[col]
-		}
-	}
-	return sub, nil
-}
-
-// GenerateInputs solves only the input columns of the spec: the table of
-// all legal input combinations, which the paper generates first and then
-// extends with output columns one at a time.
-func GenerateInputs(spec *Spec) (*rel.Table, Stats, error) {
-	sub, err := InputSpec(spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return Solve(sub)
 }

@@ -62,8 +62,7 @@ func mustDo(t testing.TB, err error) {
 
 // TestHiddenColumn checks the hidden column kind: it is placed after the
 // inputs, solved and constrained like any column, keyed on by later
-// constraints, and projected out of every emitted table; InputSpec keeps
-// it when its constraint reads only inputs, so its pruning still holds.
+// constraints, and projected out of every emitted table.
 func TestHiddenColumn(t *testing.T) {
 	s := NewSpec("h")
 	mustDo(t, s.AddColumn(Column{Name: "x", Values: []string{"1", "2", "3"}, NoNull: true}))
@@ -102,20 +101,6 @@ func TestHiddenColumn(t *testing.T) {
 		}
 	}
 
-	sub, err := InputSpec(s)
-	mustDo(t, err)
-	var subCols []string
-	for _, c := range sub.Columns() {
-		subCols = append(subCols, c.Name)
-	}
-	if got := strings.Join(subCols, " "); got != "x par" {
-		t.Fatalf("InputSpec columns = %s, want x par", got)
-	}
-	inputs, _, err := GenerateInputs(s)
-	mustDo(t, err)
-	if got := tableBytes(t, inputs); got != "x\n1\n2\n" {
-		t.Fatalf("GenerateInputs =\n%s", got)
-	}
 }
 
 func TestSpecConstruction(t *testing.T) {
@@ -349,35 +334,6 @@ func TestSpaceSizeSaturates(t *testing.T) {
 	}
 	if s.SpaceSize() != uint64(1)<<62 {
 		t.Fatalf("space = %d, want saturation", s.SpaceSize())
-	}
-}
-
-func TestGenerateInputs(t *testing.T) {
-	spec := figure3Spec(t)
-	in, _, err := GenerateInputs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Columns(); len(got) != 3 {
-		t.Fatalf("input columns = %v", got)
-	}
-	full, _, err := Solve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every legal input combination of the full table appears in the
-	// inputs table (the converse need not hold: output constraints that
-	// also mention inputs can prune further).
-	proj, err := full.Project("inmsg", "dirst", "dirpv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := in.ContainsAll(proj.SetName(in.Name()).Distinct())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("inputs table misses combinations present in the full table")
 	}
 }
 

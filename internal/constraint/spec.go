@@ -91,8 +91,8 @@ type Spec struct {
 	constraints map[string]sqlmini.Expr
 	funcs       map[string]sqlmini.Func
 
-	// Compiled-kernel cache: the column constraints lowered to position-
-	// bound programs, built lazily on first solve and reused until the spec
+	// Compiled-kernel cache: the column constraints lowered to sweep-mode
+	// predicates, built lazily on first solve and reused until the spec
 	// changes. Guarded by mu so concurrent solves of one spec share it.
 	mu       sync.Mutex
 	compiled []compiledConstraint
@@ -310,21 +310,22 @@ func (s *Spec) ColumnIndex() map[string]int {
 	return out
 }
 
-// compiledConstraint is one column constraint lowered to a column-at-a-
-// time sweep program over its fire column, plus its scheduling metadata:
-// the row positions it reads and the step at which it becomes checkable.
-// The incremental solver sweeps the fire column across its domain;
-// Monolithic runs the same program as a one-lane sweep over the value
-// already in the row.
+// compiledConstraint is one column constraint lowered to a sweep-mode
+// VecPred over its fire column, plus its scheduling metadata: the row
+// positions it reads and the step at which it becomes checkable. The
+// incremental solver sweeps the fire column across its domain; Monolithic
+// runs the same predicate as a one-lane sweep over the value already in
+// the row.
 type compiledConstraint struct {
-	col   string
-	sweep *sqlmini.SweepProg
-	refs  []int // row positions the constraint reads, own column included
-	fire  int   // max referenced position: the step the constraint fires at
+	col  string
+	pred *sqlmini.VecPred
+	refs []int // row positions the constraint reads, own column included
+	fire int   // max referenced position: the step the constraint fires at
 }
 
-// compiledConstraints lowers every column constraint into a sweep program
-// around the column added at its firing step (see sqlmini.CompileSweepVec),
+// compiledConstraints lowers every column constraint into a sweep-mode
+// predicate around the column added at its firing step (see
+// sqlmini.CompileSweep),
 // cached on the spec until the next mutation. Constraints compile in
 // column order, so a spec with several bad constraints always reports the
 // first. The returned slice is shared and must not be mutated.
@@ -353,7 +354,7 @@ func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 		}
 		sort.Ints(cc.refs)
 		var err error
-		if cc.sweep, err = ev.CompileSweepVec(e, s.colIdx, cc.fire); err != nil {
+		if cc.pred, err = ev.CompileSweep(e, s.colIdx, cc.fire); err != nil {
 			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, c.Name, err)
 		}
 		out = append(out, cc)

@@ -49,8 +49,8 @@ func interpretedTable(t *testing.T, s *Spec) *rel.Table {
 	return out
 }
 
-// TestVectorizedSweepMatchesScalar is the solver half of the sweep-
-// program equivalence gate: on the Fig. 3 fragment and a batch of random
+// TestVectorizedSweepMatchesScalar is the solver half of the sweep-mode
+// equivalence gate: on the Fig. 3 fragment and a batch of random
 // specs, Solve must generate exactly the cross product filtered row by
 // row (scalar evaluation) through the interpreter, in the same order.
 func TestVectorizedSweepMatchesScalar(t *testing.T) {

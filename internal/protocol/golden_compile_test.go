@@ -29,11 +29,11 @@ func goldenSpecs(t *testing.T) map[string]*constraint.Spec {
 
 // TestCompiledConstraintsMatchInterpreter is the golden equivalence check
 // of the constraint-compilation layer: for every constraint of every
-// controller spec, the sweep program the solver runs must agree with the
-// tree-walking Evaluator.True on randomly sampled environments drawn from
-// the column domains. Each sample is driven the way the solver drives it:
-// one cache generation per base row, the constraint's fire column (its
-// last referenced column) swept across its full domain in one call.
+// controller spec, the sweep-mode predicate the solver runs must agree
+// with the tree-walking Evaluator.True on randomly sampled environments
+// drawn from the column domains. Each sample is driven the way the solver
+// drives it: one base row, the constraint's fire column (its last
+// referenced column) swept across its full domain in one call.
 //
 // The hidden rule column's constraint is checked too. Its domain is one
 // lane per rule and the interpreter re-walks the whole chain per lane, so
@@ -70,16 +70,16 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 					fire = p
 				}
 			}
-			prog, err := ev.CompileSweepVec(e, colIdx, fire)
+			prog, err := ev.CompileSweep(e, colIdx, fire)
 			if err != nil {
 				t.Fatalf("%s.%s: compile sweep: %v", name, col, err)
 			}
-			inst := prog.Instance()
 			domain := make([]uint32, len(domains[fire]))
 			for i, v := range domains[fire] {
 				domain[i] = dict.Code(v)
 			}
 			keep := make([]bool, len(domain))
+			sel := make([]uint32, len(domain))
 			crow := make([]uint32, len(cols))
 			env := make(sqlmini.MapEnv, len(cols))
 			for s := 0; s < samples; s++ {
@@ -92,11 +92,14 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 					crow[i] = dict.Code(v)
 					env[cols[i].Name] = v
 				}
-				inst.NextRow()
-				for i := range keep {
+				for i := range sel {
+					sel[i] = uint32(i)
+					keep[i] = false
+				}
+				kept, serr := prog.EvalSweep(crow, domain, sel)
+				for _, i := range kept {
 					keep[i] = true
 				}
-				_, serr := prog.EvalSweepTrue(inst, crow, domain, keep)
 				var werrs error
 				for di, v := range domains[fire] {
 					if cols[fire].Name == RuleColumn && !keep[di] && ruleRng.Intn(len(domain)) >= ruleLanes {
@@ -115,7 +118,6 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 						name, col, env, werrs, serr, e)
 				}
 			}
-			prog.Release(inst)
 		}
 	}
 }

@@ -330,8 +330,8 @@ func randomRuleSpec(rng *rand.Rand) (cols []constraint.Column, rs *RuleSet, outp
 
 // TestRuleColumnMatchesPerColumnChains is the rule compiler's differential
 // check: on random rule sets, with and without pruning, the rule-indexed
-// spec solves — incrementally, monolithically and input columns alone — to
-// tables byte-identical to the per-column-chain oracle's.
+// spec solves — incrementally and monolithically — to tables
+// byte-identical to the per-column-chain oracle's.
 func TestRuleColumnMatchesPerColumnChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 300; trial++ {
@@ -355,7 +355,6 @@ func TestRuleColumnMatchesPerColumnChains(t *testing.T) {
 		solvers := map[string]func(*constraint.Spec) (*rel.Table, constraint.Stats, error){
 			"solve":      constraint.Solve,
 			"monolithic": constraint.Monolithic,
-			"inputs":     constraint.GenerateInputs,
 		}
 		for name, solve := range solvers {
 			g, _, err := solve(got)

@@ -7,31 +7,27 @@ import (
 	"coherdb/internal/rel"
 )
 
-// This file is the expression-compilation layer: it lowers an expression
-// tree once into a tree of position-bound closures over dictionary-code
-// rows, so hot loops evaluate millions of rows without per-row name
-// resolution, AST walks or operator-string dispatch:
+// This file is the expression-compilation layer: it lowers a plan-bound
+// expression tree once into a tree of position-bound closures over
+// dictionary-code rows, so hot loops evaluate millions of rows without
+// per-row name resolution, AST walks or operator-string dispatch:
 //
-//   - column references resolve to row positions at compile time;
+//   - column references are boundCol positions, loaded straight from the row;
 //   - registered functions resolve to their Func at compile time;
 //   - AND/OR compile to short-circuit Kleene closures;
 //   - IN over literal sets compiles to a hash-set membership test;
-//   - comparison operators specialize per operator and NULL dialect;
-//   - with a sweep column declared, subtrees that do not read it are
-//     cached per instance across the sweep.
+//   - comparison operators specialize per operator and NULL dialect.
 //
 // Equality, IN membership and IS NULL specialize to integer compares
 // against codes interned at compile time; only ordered comparisons and
-// function calls decode values. The closures are the building block of
-// the two compiled forms: VecPred (CompileBoundVec, vectorize.go), the
-// executor's filter, whose fallback kernels run them per lane, and
-// SweepProg (CompileSweepVec, sweepvec.go), the solver's, whose broadcast
-// and fallback nodes are scalar closures. Both agree with Evaluator.True,
-// the single reference semantics.
+// function calls decode values. The closures are the scalar building block
+// of the one compiled form, VecPred (vectorize.go): its stable subtrees
+// run them once per call and its fallback kernels once per lane. VecPred
+// agrees with Evaluator.True, the single reference semantics.
 //
-// Compiled closures close over immutable compile-time state only; all
-// mutable evaluation state lives in per-worker Instances, so one program
-// may be evaluated concurrently from many solver workers.
+// Compiled closures are pure functions of the row they are given and
+// close over immutable compile-time state only, so one closure tree may
+// be evaluated concurrently from many goroutines.
 
 // dict is the shared dictionary every rel.Table encodes into; compiled
 // kernels intern their literals through it at compile time and compare
@@ -39,32 +35,15 @@ import (
 var dict = rel.SharedDict()
 
 // valFn is a compiled expression node producing a value.
-type valFn func(in *Instance, crow []uint32) (rel.Value, error)
+type valFn func(crow []uint32) (rel.Value, error)
 
 // codeFn is a compiled expression node producing a dictionary code; only
 // literals and column references compile to one, which is exactly what
 // equality, IN and IS NULL need to stay in code space.
-type codeFn func(in *Instance, crow []uint32) (uint32, error)
+type codeFn func(crow []uint32) (uint32, error)
 
 // triFn is a compiled condition node producing three-valued truth.
-type triFn func(in *Instance, crow []uint32) (tri, error)
-
-// Instance is one worker's evaluation state for a SweepProg: the cache
-// slots of sweep-stable subtrees, the generation stamp that invalidates
-// them, and the lane buffers of the sweep combiners. Instances are not
-// safe for concurrent use; each goroutine evaluates through its own.
-type Instance struct {
-	gen     uint64
-	triMemo []uint64 // stamp per tri slot
-	tris    []tri
-	valMemo []uint64 // stamp per val slot
-	vals    []rel.Value
-	svBufs  [][]tri // lane buffers for SweepProg combiners (see sweepvec.go)
-}
-
-// NextRow invalidates the sweep cache: call it whenever any column other
-// than the sweep column may have changed since the last evaluation.
-func (in *Instance) NextRow() { in.gen++ }
+type triFn func(crow []uint32) (tri, error)
 
 // errUnboundCol marks an expression the query planner could not fully
 // bind to row positions; CompileBoundVec callers fall back to
@@ -72,268 +51,186 @@ func (in *Instance) NextRow() { in.gen++ }
 // unknown-column or ambiguity errors the unplanned path always produced.
 var errUnboundCol = errors.New("sqlmini: expression not fully plan-bound")
 
-// compiler carries compile-time state: the column binding, the sweep
-// column (-1 when absent), the cache-slot counters, and whether column
-// references resolve through pre-bound positions (CompileBoundVec) or
-// the name index (CompileSweepVec).
+// compiler carries compile-time state: the evaluator whose NULL dialect
+// and function registry the closures capture.
 type compiler struct {
-	ev       *Evaluator
-	ix       map[string]int
-	sweep    int
-	bound    bool
-	triSlots int
-	valSlots int
+	ev *Evaluator
 }
 
-// cacheTri gives a sweep-stable condition subtree a cache slot. maxPos is
-// the highest row position the subtree reads (-1 for none).
-func (c *compiler) cacheTri(fn triFn, maxPos int) triFn {
-	if c.sweep < 0 || maxPos >= c.sweep {
-		return fn
-	}
-	slot := c.triSlots
-	c.triSlots++
-	return func(in *Instance, crow []uint32) (tri, error) {
-		if in.triMemo[slot] == in.gen {
-			return in.tris[slot], nil
-		}
-		t, err := fn(in, crow)
-		if err != nil {
-			return t, err
-		}
-		in.triMemo[slot] = in.gen
-		in.tris[slot] = t
-		return t, nil
-	}
-}
-
-// cacheVal is cacheTri for value subtrees.
-func (c *compiler) cacheVal(fn valFn, maxPos int) valFn {
-	if c.sweep < 0 || maxPos >= c.sweep {
-		return fn
-	}
-	slot := c.valSlots
-	c.valSlots++
-	return func(in *Instance, crow []uint32) (rel.Value, error) {
-		if in.valMemo[slot] == in.gen {
-			return in.vals[slot], nil
-		}
-		v, err := fn(in, crow)
-		if err != nil {
-			return v, err
-		}
-		in.valMemo[slot] = in.gen
-		in.vals[slot] = v
-		return v, nil
-	}
-}
-
-func maxPos(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// bool compiles e as a condition, returning the closure and the highest
-// row position it reads. It mirrors Evaluator.Bool: Bool(e) ==
+// bool compiles e as a condition. It mirrors Evaluator.Bool: Bool(e) ==
 // triOf(Eval(e)) for every node, so recursing structurally through
 // ternaries and cases preserves the interpreted semantics.
-func (c *compiler) bool(e Expr) (triFn, int, error) {
+func (c *compiler) bool(e Expr) (triFn, error) {
 	switch x := e.(type) {
 	case Lit:
 		t := triOf(x.Val)
-		return func(*Instance, []uint32) (tri, error) { return t, nil }, -1, nil
+		return func([]uint32) (tri, error) { return t, nil }, nil
 	case Unary:
-		inner, mp, err := c.bool(x.X)
+		inner, err := c.bool(x.X)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return func(in *Instance, crow []uint32) (tri, error) {
-			t, err := inner(in, crow)
+		return func(crow []uint32) (tri, error) {
+			t, err := inner(crow)
 			return -t, err // NOT flips true/false, keeps unknown
-		}, mp, nil
+		}, nil
 	case Binary:
 		switch x.Op {
 		case "AND", "OR":
-			l, lp, err := c.bool(x.L)
+			l, err := c.bool(x.L)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			r, rp, err := c.bool(x.R)
+			r, err := c.bool(x.R)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			mp := maxPos(lp, rp)
 			if x.Op == "AND" {
-				return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-					lt, err := l(in, crow)
+				return func(crow []uint32) (tri, error) {
+					lt, err := l(crow)
 					if err != nil {
 						return triUnknown, err
 					}
 					if lt == triFalse {
 						return triFalse, nil
 					}
-					rt, err := r(in, crow)
+					rt, err := r(crow)
 					if err != nil {
 						return triUnknown, err
 					}
 					return triMin(lt, rt), nil
-				}, mp), mp, nil
+				}, nil
 			}
-			return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-				lt, err := l(in, crow)
+			return func(crow []uint32) (tri, error) {
+				lt, err := l(crow)
 				if err != nil {
 					return triUnknown, err
 				}
 				if lt == triTrue {
 					return triTrue, nil
 				}
-				rt, err := r(in, crow)
+				rt, err := r(crow)
 				if err != nil {
 					return triUnknown, err
 				}
 				return triMax(lt, rt), nil
-			}, mp), mp, nil
+			}, nil
 		default:
 			return c.compare(x)
 		}
 	case InList:
 		return c.in(x)
 	case IsNull:
-		if cf, mp, ok, err := c.code(x.X); err != nil {
-			return nil, 0, err
+		neg := x.Negate
+		if cf, ok, err := c.code(x.X); err != nil {
+			return nil, err
 		} else if ok {
-			neg := x.Negate
-			return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-				cv, err := cf(in, crow)
+			return func(crow []uint32) (tri, error) {
+				cv, err := cf(crow)
 				if err != nil {
 					return triUnknown, err
 				}
 				return triBool((cv == rel.NullCode) != neg), nil
-			}, mp), mp, nil
+			}, nil
 		}
-		inner, mp, err := c.val(x.X)
+		inner, err := c.val(x.X)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		neg := x.Negate
-		return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-			v, err := inner(in, crow)
+		return func(crow []uint32) (tri, error) {
+			v, err := inner(crow)
 			if err != nil {
 				return triUnknown, err
 			}
 			return triBool(v.IsNull() != neg), nil
-		}, mp), mp, nil
+		}, nil
 	case Between:
 		return c.between(x)
 	case Ternary:
-		cond, cp, err := c.bool(x.Cond)
+		cond, err := c.bool(x.Cond)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		then, tp, err := c.bool(x.Then)
+		then, err := c.bool(x.Then)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		els, ep, err := c.bool(x.Else)
+		els, err := c.bool(x.Else)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		mp := maxPos(cp, maxPos(tp, ep))
-		return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-			t, err := cond(in, crow)
+		return func(crow []uint32) (tri, error) {
+			t, err := cond(crow)
 			if err != nil {
 				return triUnknown, err
 			}
 			// Unknown behaves as false: the else branch (paper's ternary).
 			if t == triTrue {
-				return then(in, crow)
+				return then(crow)
 			}
-			return els(in, crow)
-		}, mp), mp, nil
+			return els(crow)
+		}, nil
 	case Case:
 		conds := make([]triFn, len(x.Whens))
 		vals := make([]triFn, len(x.Whens))
-		mp := -1
 		for i, w := range x.Whens {
-			fn, p, err := c.bool(w.Cond)
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if conds[i], err = c.bool(w.Cond); err != nil {
+				return nil, err
 			}
-			conds[i], mp = fn, maxPos(mp, p)
-			if fn, p, err = c.bool(w.Val); err != nil {
-				return nil, 0, err
+			if vals[i], err = c.bool(w.Val); err != nil {
+				return nil, err
 			}
-			vals[i], mp = fn, maxPos(mp, p)
 		}
 		var els triFn
 		if x.Else != nil {
-			fn, p, err := c.bool(x.Else)
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if els, err = c.bool(x.Else); err != nil {
+				return nil, err
 			}
-			els, mp = fn, maxPos(mp, p)
 		}
-		return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
+		return func(crow []uint32) (tri, error) {
 			for i, cond := range conds {
-				t, err := cond(in, crow)
+				t, err := cond(crow)
 				if err != nil {
 					return triUnknown, err
 				}
 				if t == triTrue {
-					return vals[i](in, crow)
+					return vals[i](crow)
 				}
 			}
 			if els != nil {
-				return els(in, crow)
+				return els(crow)
 			}
 			return triUnknown, nil // CASE with no match yields NULL
-		}, mp), mp, nil
+		}, nil
 	default:
 		// Col, boundCol, Call: evaluate as a value and take its truth.
-		v, mp, err := c.val(e)
+		v, err := c.val(e)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return func(in *Instance, crow []uint32) (tri, error) {
-			val, err := v(in, crow)
+		return func(crow []uint32) (tri, error) {
+			val, err := v(crow)
 			if err != nil {
 				return triUnknown, err
 			}
 			return triOf(val), nil
-		}, mp, nil
+		}, nil
 	}
 }
 
-// colPos resolves a column reference to its row position, honoring the
-// bound/unbound compilation mode. ok=false with a nil error means the
-// node is not a column reference at all.
-func (c *compiler) colPos(e Expr) (idx int, rendered string, ok bool, err error) {
+// colPos resolves a column reference to its bound row position. ok=false
+// with a nil error means the node is not a column reference at all.
+func colPos(e Expr) (idx int, rendered string, ok bool, err error) {
 	switch x := e.(type) {
 	case Col:
-		if c.bound {
-			// A bare Col surviving plan-time binding means the planner could
-			// not resolve it (unknown or ambiguous); the interpreted path
-			// owns that diagnosis.
-			return 0, "", false, errUnboundCol
-		}
-		idx, found := c.ix[x.Name]
-		if !found {
-			return 0, "", false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.String())
-		}
-		return idx, x.String(), true, nil
+		// A bare Col surviving binding means the planner could not resolve
+		// it (unknown or ambiguous); the interpreted path owns that
+		// diagnosis.
+		return 0, "", false, errUnboundCol
 	case boundCol:
-		if c.bound {
-			return x.Idx, x.Col.String(), true, nil
-		}
-		// Positions bound against a table during query planning are stale
-		// here; rebind by name against the compile-time index.
-		idx, found := c.ix[x.Name]
-		if !found {
-			return 0, "", false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.Col.String())
-		}
-		return idx, x.Col.String(), true, nil
+		return x.Idx, x.Col.String(), true, nil
 	}
 	return 0, "", false, nil
 }
@@ -341,150 +238,142 @@ func (c *compiler) colPos(e Expr) (idx int, rendered string, ok bool, err error)
 // code compiles e as a dictionary-code producer when possible: literals
 // intern at compile time, column references load crow[idx]. ok=false
 // means e needs full value evaluation (calls, ternaries, cases).
-func (c *compiler) code(e Expr) (codeFn, int, bool, error) {
+func (c *compiler) code(e Expr) (codeFn, bool, error) {
 	if x, isLit := e.(Lit); isLit {
 		cc := dict.Code(x.Val)
-		return func(*Instance, []uint32) (uint32, error) { return cc, nil }, -1, true, nil
+		return func([]uint32) (uint32, error) { return cc, nil }, true, nil
 	}
-	idx, rendered, ok, err := c.colPos(e)
+	idx, rendered, ok, err := colPos(e)
 	if err != nil || !ok {
-		return nil, 0, false, err
+		return nil, false, err
 	}
-	return func(_ *Instance, crow []uint32) (uint32, error) {
+	return func(crow []uint32) (uint32, error) {
 		if idx >= len(crow) {
 			return rel.NullCode, fmt.Errorf("%w: %s (position %d beyond row of %d)", ErrUnknownColumn, rendered, idx, len(crow))
 		}
 		return crow[idx], nil
-	}, idx, true, nil
+	}, true, nil
 }
 
 // val compiles e as a value producer, mirroring Evaluator.Eval. Column
 // loads decode their code through the shared dictionary.
-func (c *compiler) val(e Expr) (valFn, int, error) {
+func (c *compiler) val(e Expr) (valFn, error) {
 	switch x := e.(type) {
 	case Lit:
 		v := x.Val
-		return func(*Instance, []uint32) (rel.Value, error) { return v, nil }, -1, nil
+		return func([]uint32) (rel.Value, error) { return v, nil }, nil
 	case Col, boundCol:
-		idx, rendered, ok, err := c.colPos(e)
+		idx, rendered, ok, err := colPos(e)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if !ok {
-			return nil, 0, fmt.Errorf("%w: %v", ErrUnknownColumn, e)
+			return nil, fmt.Errorf("%w: %v", ErrUnknownColumn, e)
 		}
-		return func(_ *Instance, crow []uint32) (rel.Value, error) {
+		return func(crow []uint32) (rel.Value, error) {
 			if idx >= len(crow) {
 				return rel.Null(), fmt.Errorf("%w: %s (position %d beyond row of %d)", ErrUnknownColumn, rendered, idx, len(crow))
 			}
 			return dict.Value(crow[idx]), nil
-		}, idx, nil
+		}, nil
 	case Call:
 		fn, ok := c.ev.Funcs[x.Name]
 		if !ok {
-			return nil, 0, fmt.Errorf("%w: %s", ErrUnknownFunc, x.Name)
+			return nil, fmt.Errorf("%w: %s", ErrUnknownFunc, x.Name)
 		}
 		args := make([]valFn, len(x.Args))
-		mp := -1
 		for i, a := range x.Args {
-			afn, p, err := c.val(a)
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if args[i], err = c.val(a); err != nil {
+				return nil, err
 			}
-			args[i], mp = afn, maxPos(mp, p)
 		}
-		return c.cacheVal(func(in *Instance, crow []uint32) (rel.Value, error) {
+		return func(crow []uint32) (rel.Value, error) {
 			vals := make([]rel.Value, len(args))
 			for i, a := range args {
-				v, err := a(in, crow)
+				v, err := a(crow)
 				if err != nil {
 					return rel.Null(), err
 				}
 				vals[i] = v
 			}
 			return fn(vals)
-		}, mp), mp, nil
+		}, nil
 	case Ternary:
 		// As a value, a ternary yields the chosen branch's value (which
 		// need not be boolean); only the condition is three-valued.
-		cond, cp, err := c.bool(x.Cond)
+		cond, err := c.bool(x.Cond)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		then, tp, err := c.val(x.Then)
+		then, err := c.val(x.Then)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		els, ep, err := c.val(x.Else)
+		els, err := c.val(x.Else)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		mp := maxPos(cp, maxPos(tp, ep))
-		return c.cacheVal(func(in *Instance, crow []uint32) (rel.Value, error) {
-			t, err := cond(in, crow)
+		return func(crow []uint32) (rel.Value, error) {
+			t, err := cond(crow)
 			if err != nil {
 				return rel.Null(), err
 			}
 			// Unknown behaves as false: the else branch (paper's ternary).
 			if t == triTrue {
-				return then(in, crow)
+				return then(crow)
 			}
-			return els(in, crow)
-		}, mp), mp, nil
+			return els(crow)
+		}, nil
 	case Case:
 		// As a value, CASE yields the first matching WHEN's value; no
 		// match and no ELSE yields NULL, exactly as Evaluator.Eval.
 		conds := make([]triFn, len(x.Whens))
 		vals := make([]valFn, len(x.Whens))
-		mp := -1
 		for i, w := range x.Whens {
-			fn, p, err := c.bool(w.Cond)
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if conds[i], err = c.bool(w.Cond); err != nil {
+				return nil, err
 			}
-			conds[i], mp = fn, maxPos(mp, p)
-			vfn, p, err := c.val(w.Val)
-			if err != nil {
-				return nil, 0, err
+			if vals[i], err = c.val(w.Val); err != nil {
+				return nil, err
 			}
-			vals[i], mp = vfn, maxPos(mp, p)
 		}
 		var els valFn
 		if x.Else != nil {
-			fn, p, err := c.val(x.Else)
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if els, err = c.val(x.Else); err != nil {
+				return nil, err
 			}
-			els, mp = fn, maxPos(mp, p)
 		}
-		return c.cacheVal(func(in *Instance, crow []uint32) (rel.Value, error) {
+		return func(crow []uint32) (rel.Value, error) {
 			for i, cond := range conds {
-				t, err := cond(in, crow)
+				t, err := cond(crow)
 				if err != nil {
 					return rel.Null(), err
 				}
 				if t == triTrue {
-					return vals[i](in, crow)
+					return vals[i](crow)
 				}
 			}
 			if els != nil {
-				return els(in, crow)
+				return els(crow)
 			}
 			return rel.Null(), nil
-		}, mp), mp, nil
+		}, nil
 	default:
 		// Every other node is a condition; its value is its truth value.
-		b, mp, err := c.bool(e)
+		b, err := c.bool(e)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return func(in *Instance, crow []uint32) (rel.Value, error) {
-			t, err := b(in, crow)
+		return func(crow []uint32) (rel.Value, error) {
+			t, err := b(crow)
 			if err != nil {
 				return rel.Null(), err
 			}
 			return triVal(t), nil
-		}, mp, nil
+		}, nil
 	}
 }
 
@@ -492,27 +381,26 @@ func (c *compiler) val(e Expr) (valFn, int, error) {
 // at compile time. Equality over code-loadable operands (columns and
 // literals) is a pure integer compare: the shared dictionary is injective,
 // so equal codes ⇔ equal values, and code 0 is NULL in both dialects.
-func (c *compiler) compare(x Binary) (triFn, int, error) {
+func (c *compiler) compare(x Binary) (triFn, error) {
 	nullEq := c.ev.NullEq
 	switch x.Op {
 	case "=", "<>":
-		lc, lp, lok, err := c.code(x.L)
+		lc, lok, err := c.code(x.L)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		rc, rp, rok, err := c.code(x.R)
+		rc, rok, err := c.code(x.R)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if lok && rok {
-			mp := maxPos(lp, rp)
 			want := x.Op == "="
-			fn := func(in *Instance, crow []uint32) (tri, error) {
-				la, err := lc(in, crow)
+			return func(crow []uint32) (tri, error) {
+				la, err := lc(crow)
 				if err != nil {
 					return triUnknown, err
 				}
-				ra, err := rc(in, crow)
+				ra, err := rc(crow)
 				if err != nil {
 					return triUnknown, err
 				}
@@ -520,29 +408,26 @@ func (c *compiler) compare(x Binary) (triFn, int, error) {
 					return triUnknown, nil
 				}
 				return triBool((la == ra) == want), nil
-			}
-			return c.cacheTri(fn, mp), mp, nil
+			}, nil
 		}
 	}
-	l, lp, err := c.val(x.L)
+	l, err := c.val(x.L)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	r, rp, err := c.val(x.R)
+	r, err := c.val(x.R)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	mp := maxPos(lp, rp)
-	var fn triFn
 	switch x.Op {
 	case "=", "<>":
 		want := x.Op == "="
-		fn = func(in *Instance, crow []uint32) (tri, error) {
-			lv, err := l(in, crow)
+		return func(crow []uint32) (tri, error) {
+			lv, err := l(crow)
 			if err != nil {
 				return triUnknown, err
 			}
-			rv, err := r(in, crow)
+			rv, err := r(crow)
 			if err != nil {
 				return triUnknown, err
 			}
@@ -550,24 +435,22 @@ func (c *compiler) compare(x Binary) (triFn, int, error) {
 				return triUnknown, nil
 			}
 			return triBool(lv.Equal(rv) == want), nil
-		}
+		}, nil
 	case "<", "<=", ">", ">=":
 		op := x.Op
-		fn = func(in *Instance, crow []uint32) (tri, error) {
-			lv, err := l(in, crow)
+		return func(crow []uint32) (tri, error) {
+			lv, err := l(crow)
 			if err != nil {
 				return triUnknown, err
 			}
-			rv, err := r(in, crow)
+			rv, err := r(crow)
 			if err != nil {
 				return triUnknown, err
 			}
 			return compareVals(op, lv, rv, nullEq), nil
-		}
-	default:
-		return nil, 0, fmt.Errorf("sqlmini: cannot compile operator %q", x.Op)
+		}, nil
 	}
-	return c.cacheTri(fn, mp), mp, nil
+	return nil, fmt.Errorf("sqlmini: cannot compile operator %q", x.Op)
 }
 
 // in compiles membership tests. When every set element is a literal — the
@@ -575,18 +458,11 @@ func (c *compiler) compare(x Binary) (triFn, int, error) {
 // into string literals — the set compiles to a hash set of dictionary
 // codes, turning the O(|set|) scan per candidate into one integer-keyed
 // lookup with no Value boxing.
-func (c *compiler) in(x InList) (triFn, int, error) {
+func (c *compiler) in(x InList) (triFn, error) {
 	neg := x.Negate
 	nullEq := c.ev.NullEq
 
-	allLit := true
-	for _, s := range x.Set {
-		if _, ok := s.(Lit); !ok {
-			allLit = false
-			break
-		}
-	}
-	if allLit {
+	if allLits(x.Set) {
 		codes := make(map[uint32]struct{}, len(x.Set))
 		hasNull := false
 		for _, s := range x.Set {
@@ -600,11 +476,11 @@ func (c *compiler) in(x InList) (triFn, int, error) {
 			codes[dict.Code(v)] = struct{}{}
 		}
 		empty := len(x.Set) == 0
-		if cf, mp, ok, err := c.code(x.X); err != nil {
-			return nil, 0, err
+		if cf, ok, err := c.code(x.X); err != nil {
+			return nil, err
 		} else if ok {
-			return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-				cv, err := cf(in, crow)
+			return func(crow []uint32) (tri, error) {
+				cv, err := cf(crow)
 				if err != nil {
 					return triUnknown, err
 				}
@@ -635,16 +511,16 @@ func (c *compiler) in(x InList) (triFn, int, error) {
 					res = -res
 				}
 				return res, nil
-			}, mp), mp, nil
+			}, nil
 		}
 		// Computed operand (call, case): evaluate the value, then intern-
 		// free membership via a read-only dictionary probe.
-		inner, mp, err := c.val(x.X)
+		inner, err := c.val(x.X)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-			v, err := inner(in, crow)
+		return func(crow []uint32) (tri, error) {
+			v, err := inner(crow)
 			if err != nil {
 				return triUnknown, err
 			}
@@ -671,31 +547,29 @@ func (c *compiler) in(x InList) (triFn, int, error) {
 				res = -res
 			}
 			return res, nil
-		}, mp), mp, nil
+		}, nil
 	}
 
 	// General form: compiled element expressions, scanned with the same
 	// short-circuit as the interpreter.
-	inner, mp, err := c.val(x.X)
+	inner, err := c.val(x.X)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	set := make([]valFn, len(x.Set))
 	for i, s := range x.Set {
-		fn, p, err := c.val(s)
-		if err != nil {
-			return nil, 0, err
+		if set[i], err = c.val(s); err != nil {
+			return nil, err
 		}
-		set[i], mp = fn, maxPos(mp, p)
 	}
-	return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-		v, err := inner(in, crow)
+	return func(crow []uint32) (tri, error) {
+		v, err := inner(crow)
 		if err != nil {
 			return triUnknown, err
 		}
 		res := triFalse
 		for _, s := range set {
-			sv, err := s(in, crow)
+			sv, err := s(crow)
 			if err != nil {
 				return triUnknown, err
 			}
@@ -708,36 +582,34 @@ func (c *compiler) in(x InList) (triFn, int, error) {
 			res = -res
 		}
 		return res, nil
-	}, mp), mp, nil
+	}, nil
 }
 
-func (c *compiler) between(x Between) (triFn, int, error) {
-	inner, mp, err := c.val(x.X)
+func (c *compiler) between(x Between) (triFn, error) {
+	inner, err := c.val(x.X)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	lo, p, err := c.val(x.Lo)
+	lo, err := c.val(x.Lo)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	mp = maxPos(mp, p)
-	hi, p, err := c.val(x.Hi)
+	hi, err := c.val(x.Hi)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	mp = maxPos(mp, p)
 	neg := x.Negate
 	nullEq := c.ev.NullEq
-	return c.cacheTri(func(in *Instance, crow []uint32) (tri, error) {
-		v, err := inner(in, crow)
+	return func(crow []uint32) (tri, error) {
+		v, err := inner(crow)
 		if err != nil {
 			return triUnknown, err
 		}
-		lv, err := lo(in, crow)
+		lv, err := lo(crow)
 		if err != nil {
 			return triUnknown, err
 		}
-		hv, err := hi(in, crow)
+		hv, err := hi(crow)
 		if err != nil {
 			return triUnknown, err
 		}
@@ -746,5 +618,5 @@ func (c *compiler) between(x Between) (triFn, int, error) {
 			res = -res
 		}
 		return res, nil
-	}, mp), mp, nil
+	}, nil
 }

@@ -131,10 +131,25 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 	}
 }
 
-// TestCompileSweepAgreesWithInterpreter drives the sweep program the way
-// the solver does — one NextRow per base row, then one column swept across
-// the whole domain — for every choice of sweep column, and checks every
-// lane against the interpreter on the extended row.
+// sweepLanes runs a sweep-mode predicate over every lane of domain and
+// reports, per lane, whether it was kept.
+func sweepLanes(vp *VecPred, row, domain []uint32) ([]bool, error) {
+	sel := make([]uint32, len(domain))
+	for i := range sel {
+		sel[i] = uint32(i)
+	}
+	kept, err := vp.EvalSweep(row, domain, sel)
+	keep := make([]bool, len(domain))
+	for _, i := range kept {
+		keep[i] = true
+	}
+	return keep, err
+}
+
+// TestCompileSweepAgreesWithInterpreter drives the sweep-mode predicate the
+// way the solver does — one base row at a time, with one column swept
+// across the whole domain — for every choice of sweep column, and checks
+// every lane against the interpreter on the extended row.
 func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 	domain := encodeRow(fixtureDomain)
 	for _, nullEq := range []bool{false, true} {
@@ -145,21 +160,15 @@ func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 				t.Fatalf("parse %q: %v", src, err)
 			}
 			for sweep := 0; sweep < len(compileFixtureCols); sweep++ {
-				prog, err := ev.CompileSweepVec(e, compileFixtureCols, sweep)
+				prog, err := ev.CompileSweep(e, compileFixtureCols, sweep)
 				if err != nil {
 					t.Fatalf("compile %q: %v", src, err)
 				}
-				in := prog.Instance()
-				keep := make([]bool, len(domain))
 				forEachFixtureRow(func(row []rel.Value) {
 					if !row[sweep].IsNull() {
 						return // one base row per assignment of the other columns
 					}
-					in.NextRow()
-					for i := range keep {
-						keep[i] = true
-					}
-					_, gerr := prog.EvalSweepTrue(in, encodeRow(row), domain, keep)
+					keep, gerr := sweepLanes(prog, encodeRow(row), domain)
 					var werrs error
 					for di, v := range fixtureDomain {
 						row[sweep] = v
@@ -175,7 +184,6 @@ func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 							src, nullEq, sweep, row, werrs, gerr)
 					}
 				})
-				prog.Release(in)
 			}
 		}
 	}
@@ -188,7 +196,7 @@ func TestCompileUnknownColumnIsCompileTimeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sweep := range []int{0, 2} {
-		if _, err := ev.CompileSweepVec(e, compileFixtureCols, sweep); !errors.Is(err, ErrUnknownColumn) {
+		if _, err := ev.CompileSweep(e, compileFixtureCols, sweep); !errors.Is(err, ErrUnknownColumn) {
 			t.Fatalf("sweep %d: err = %v, want ErrUnknownColumn", sweep, err)
 		}
 	}
@@ -201,9 +209,10 @@ func TestCompileUnknownFuncIsCompileTimeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sweeping a routes the call through the per-lane fallback; sweeping c
-	// broadcasts it as a sweep-stable subtree. Both compile it eagerly.
+	// evaluates it once per call as a stable subtree. Both compile it
+	// eagerly.
 	for _, sweep := range []int{0, 2} {
-		if _, err := ev.CompileSweepVec(e, compileFixtureCols, sweep); !errors.Is(err, ErrUnknownFunc) {
+		if _, err := ev.CompileSweep(e, compileFixtureCols, sweep); !errors.Is(err, ErrUnknownFunc) {
 			t.Fatalf("sweep %d: err = %v, want ErrUnknownFunc", sweep, err)
 		}
 	}

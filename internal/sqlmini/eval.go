@@ -389,39 +389,45 @@ func eachCol(e Expr, fn func(Col)) {
 // visit calls fn for e and then for each of its subexpressions, in
 // source order.
 func visit(e Expr, fn func(Expr)) {
-	fn(e)
+	anyExpr(e, func(n Expr) bool { fn(n); return false })
+}
+
+// anyExpr reports whether pred holds for e or any of its subexpressions,
+// visiting them in source order and stopping at the first match.
+func anyExpr(e Expr, pred func(Expr) bool) bool {
+	if pred(e) {
+		return true
+	}
+	some := func(es ...Expr) bool {
+		for _, s := range es {
+			if anyExpr(s, pred) {
+				return true
+			}
+		}
+		return false
+	}
 	switch x := e.(type) {
 	case Unary:
-		visit(x.X, fn)
+		return some(x.X)
 	case Binary:
-		visit(x.L, fn)
-		visit(x.R, fn)
+		return some(x.L, x.R)
 	case InList:
-		visit(x.X, fn)
-		for _, s := range x.Set {
-			visit(s, fn)
-		}
+		return some(x.X) || some(x.Set...)
 	case IsNull:
-		visit(x.X, fn)
+		return some(x.X)
 	case Between:
-		visit(x.X, fn)
-		visit(x.Lo, fn)
-		visit(x.Hi, fn)
+		return some(x.X, x.Lo, x.Hi)
 	case Ternary:
-		visit(x.Cond, fn)
-		visit(x.Then, fn)
-		visit(x.Else, fn)
+		return some(x.Cond, x.Then, x.Else)
 	case Case:
 		for _, w := range x.Whens {
-			visit(w.Cond, fn)
-			visit(w.Val, fn)
+			if some(w.Cond, w.Val) {
+				return true
+			}
 		}
-		if x.Else != nil {
-			visit(x.Else, fn)
-		}
+		return x.Else != nil && some(x.Else)
 	case Call:
-		for _, a := range x.Args {
-			visit(a, fn)
-		}
+		return some(x.Args...)
 	}
+	return false
 }

@@ -226,8 +226,8 @@ func TestPlanCacheDialectSlots(t *testing.T) {
 // to the interpreter) rather than resolve names per row.
 func TestCompileBoundUnboundColumn(t *testing.T) {
 	ev := Evaluator{}
-	c := &compiler{ev: &ev, sweep: -1, bound: true}
-	if _, _, err := c.val(Col{Name: "x"}); !errors.Is(err, errUnboundCol) {
+	c := &compiler{ev: &ev}
+	if _, err := c.val(Col{Name: "x"}); !errors.Is(err, errUnboundCol) {
 		t.Fatalf("compiling a bare Col: err = %v, want errUnboundCol", err)
 	}
 	if _, err := ev.CompileBoundVec(Binary{Op: "=", L: Col{Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, errUnboundCol) {

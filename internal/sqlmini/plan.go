@@ -301,11 +301,13 @@ func bindExpr(e Expr, f *frame) Expr {
 		return x
 	case InList:
 		x.X = bindExpr(x.X, f)
-		set := make([]Expr, len(x.Set))
-		for i, s := range x.Set {
-			set[i] = bindExpr(s, f)
+		if !allLits(x.Set) { // a literal set binds to itself and is shared
+			set := make([]Expr, len(x.Set))
+			for i, s := range x.Set {
+				set[i] = bindExpr(s, f)
+			}
+			x.Set = set
 		}
-		x.Set = set
 		return x
 	case IsNull:
 		x.X = bindExpr(x.X, f)
@@ -340,6 +342,16 @@ func bindExpr(e Expr, f *frame) Expr {
 	default:
 		return e
 	}
+}
+
+// allLits reports whether every expression in es is a literal.
+func allLits(es []Expr) bool {
+	for _, e := range es {
+		if _, ok := e.(Lit); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // pushTarget finds the single source a conjunct's column references all

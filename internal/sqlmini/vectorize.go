@@ -1,16 +1,18 @@
 package sqlmini
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
 	"coherdb/internal/rel"
 )
 
-// Vectorized predicate execution: VecPred is the executor's one compiled
-// filter form. A WHERE conjunct — pushed to a scan or left as a post-join
-// residue — evaluates a whole morsel's column vectors per call instead of
-// one code row at a time. The unit of work is a selection
+// Vectorized predicate execution: VecPred is the one compiled form of a
+// condition, for the executor's filters and the constraint solver's
+// domain sweeps. A WHERE conjunct — pushed to a scan or left as a
+// post-join residue — evaluates a whole morsel's column vectors per call
+// instead of one code row at a time. The unit of work is a selection
 // vector — the strictly increasing row indices still alive — and every
 // kernel filters it in place:
 //
@@ -24,21 +26,40 @@ import (
 //     remainder (set-minus), and merges the two sorted survivor lists;
 //   - NOT rewrites through Kleene-valid identities (De Morgan, operator
 //     flips) so negation never needs a complement set;
+//   - a stable subtree — one that reads no column that varies across the
+//     lanes — is evaluated once per call and keeps every lane or none,
+//     and a ternary with a stable condition passes the whole selection
+//     to the one branch that condition picks;
 //   - any other shape falls back to the scalar compiled closure (see
 //     compile.go). One that reads exactly one column — range compares,
 //     BETWEEN, CASE, registered calls — runs behind a per-code verdict
 //     memo: each distinct dictionary code is evaluated once and the
 //     vector loop reuses the verdict, which on low-cardinality protocol
 //     columns is almost as tight as a native kernel. One that reads two
-//     or more columns copies them into a scratch row per lane.
+//     or more columns copies the lane-varying ones into a scratch row
+//     per lane.
+//
+// The same compiler serves the executor and the constraint solver. On a
+// scan (CompileBoundVec) every column varies across the lanes, so only
+// subtrees that read no column are stable. In sweep mode (CompileSweep)
+// the lanes are one column's domain with the rest of the row fixed: only
+// the swept position varies, the other positions are read from the
+// state's row (EvalSweep copies it in), and a subtree that does not read
+// the swept column is stable. The protocol constraints are chains of
+// ternaries over stable rule conditions with =/IN leaves on the swept
+// column, so one sweep walks one path of the chain and runs tight loops
+// over the domain's code vector.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
 // which is what makes the NOT rewrites (rather than complements) exact.
 //
 // Equivalence: the selection EvalVec keeps is exactly the set of rows on
-// which Evaluator.True holds (TestVecPredMatchesScalarKernel checks this
-// on random predicates in both NULL dialects). Evaluation order differs
+// which Evaluator.True holds, and the lanes EvalSweep keeps exactly the
+// domain values on which it holds for the row with the swept column set
+// to them (TestVecPredMatchesScalarKernel and
+// TestSweepVecMatchesScalarSweep check this on random predicates in both
+// NULL dialects). Evaluation order differs
 // from the interpreter — conjunct-major over a morsel instead of
 // row-major — so when several rows would error, which error surfaces
 // first can differ. The compiled subset only errors on registered Funcs,
@@ -48,9 +69,9 @@ import (
 //
 // A VecPred is immutable after compilation and safe for concurrent use:
 // all mutable evaluation state (scratch selections, verdict memos) lives
-// in pooled vecStates, one checked out per EvalVec call, so the
-// steady-state vectorized path allocates nothing (see
-// TestVectorizedFilterAllocs).
+// in pooled vecStates, one checked out per EvalVec or EvalSweep call, so
+// the steady-state vectorized path allocates nothing (see
+// TestVectorizedFilterAllocs and TestEvalSweepAllocs).
 
 // memoCap bounds the per-code verdict memo of fallback kernels. Codes
 // beyond it (a dictionary past 64k distinct values) evaluate through the
@@ -63,16 +84,20 @@ const memoCap = 1 << 16
 type vecKernel func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error)
 
 // vecState is one evaluation's mutable scratch: selection buffers for OR
-// nodes, verdict memos for fallback nodes, and a scratch row for their
-// scalar closures. States are pooled per VecPred; memos persist across
-// calls, which is sound because dictionary codes are append-only and the
-// compiled closure's literals, dialect and functions are fixed at
-// compile time (function re-registration bumps the schema epoch and
-// rebuilds the plan, VecPred included).
+// nodes, verdict memos for fallback nodes, a scratch row for their scalar
+// closures (in sweep mode also the base row stable subtrees read), and in
+// sweep mode the column-vector slice whose swept slot holds the domain.
+// States are pooled per VecPred; memos persist across calls, which is
+// sound because dictionary codes are append-only, a memo only ever keys
+// a subtree that reads nothing but its one column, and the compiled
+// closure's literals, dialect and functions are fixed at compile time
+// (function re-registration bumps the schema epoch and rebuilds the plan,
+// VecPred included).
 type vecState struct {
 	bufs  [][]uint32
 	memos [][]uint8
 	crow  []uint32
+	cols  [][]uint32
 }
 
 // buf returns scratch selection buffer slot with room for n entries.
@@ -104,29 +129,54 @@ func (st *vecState) growMemo(slot int, code uint32) []uint8 {
 	return m
 }
 
-// VecPred is the vectorized form of a compiled WHERE conjunct: EvalVec
-// keeps exactly the rows on which Evaluator.True holds.
+// VecPred is the one compiled form of a condition: EvalVec keeps exactly
+// the rows on which Evaluator.True holds, EvalSweep exactly the swept
+// lanes on which it holds.
 type VecPred struct {
 	kern      vecKernel
 	reads     []int // distinct column positions read, ascending
+	sweep     int   // swept position (CompileSweep), -1 for a scan filter
 	bufSlots  int
 	memoSlots int
 	pool      sync.Pool // *vecState
+}
+
+// state checks a vecState out of the pool, building one on first use.
+func (p *VecPred) state() *vecState {
+	if st, _ := p.pool.Get().(*vecState); st != nil {
+		return st
+	}
+	return &vecState{
+		bufs:  make([][]uint32, p.bufSlots),
+		memos: make([][]uint8, p.memoSlots),
+		crow:  make([]uint32, p.Width()),
+		cols:  make([][]uint32, p.sweep+1),
+	}
 }
 
 // EvalVec filters sel — strictly increasing row indices into the column
 // vectors — in place and returns the surviving prefix. It is safe for
 // concurrent use; each call checks a vecState out of the pool.
 func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
-	st, _ := p.pool.Get().(*vecState)
-	if st == nil {
-		st = &vecState{
-			bufs:  make([][]uint32, p.bufSlots),
-			memos: make([][]uint8, p.memoSlots),
-			crow:  make([]uint32, p.Width()),
-		}
-	}
+	st := p.state()
 	out, err := p.kern(st, cols, sel)
+	p.pool.Put(st)
+	return out, err
+}
+
+// EvalSweep evaluates a sweep-mode predicate (CompileSweep) on row with
+// the swept column taking the values of domain. sel holds strictly
+// increasing lane indices into domain; it is filtered in place to the
+// lanes on which Evaluator.True holds for row with the swept position set
+// to domain[lane], and the surviving prefix is returned. row must cover
+// every position the predicate reads below the swept one; its swept
+// position itself is never read. Safe for concurrent use, like EvalVec.
+func (p *VecPred) EvalSweep(row, domain, sel []uint32) ([]uint32, error) {
+	st := p.state()
+	copy(st.crow, row)
+	st.cols[p.sweep] = domain
+	out, err := p.kern(st, st.cols, sel)
+	st.cols[p.sweep] = nil
 	p.pool.Put(st)
 	return out, err
 }
@@ -149,12 +199,50 @@ func (p *VecPred) Width() int {
 // are cached per dialect (see planEntry) and invalidated when a function
 // is registered.
 func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
-	vc := &vecCompiler{c: &compiler{ev: ev, sweep: -1, bound: true}}
+	return ev.compileVec(e, -1)
+}
+
+// CompileSweep lowers a constraint into sweep mode around the column at
+// position sweep, for EvalSweep. e is unbound, as parsed; colIndex maps
+// each column name it references to its row position; the evaluator's Funcs and NullEq
+// dialect are captured at compile time. Unknown columns and functions are
+// compile-time errors (the interpreter reports them at evaluation time;
+// the constraint solver validates constraints when the spec is built, so
+// the shift is invisible there).
+//
+// Stable subtrees are evaluated once per call, not once per lane, which
+// assumes registered Funcs are pure.
+func (ev *Evaluator) CompileSweep(e Expr, colIndex map[string]int, sweep int) (*VecPred, error) {
+	width := 0
+	for _, i := range colIndex {
+		width = max(width, i+1)
+	}
+	f := &frame{names: make([]string, width), aliases: make([]string, width)}
+	for name, i := range colIndex {
+		f.names[i] = name
+	}
+	bound := bindExpr(e, f)
+	var unknown Expr
+	anyExpr(bound, func(n Expr) bool {
+		if c, ok := n.(Col); ok {
+			unknown = c
+		}
+		return unknown != nil
+	})
+	if unknown != nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, unknown)
+	}
+	return ev.compileVec(bound, sweep)
+}
+
+// compileVec lowers a bound expression, in sweep mode when sweep >= 0.
+func (ev *Evaluator) compileVec(e Expr, sweep int) (*VecPred, error) {
+	vc := &vecCompiler{c: &compiler{ev: ev}, sweep: sweep}
 	k, err := vc.comp(e)
 	if err != nil {
 		return nil, err
 	}
-	return &VecPred{kern: k, reads: boundPositions(e), bufSlots: vc.bufSlots, memoSlots: vc.memoSlots}, nil
+	return &VecPred{kern: k, reads: boundPositions(e), sweep: sweep, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots}, nil
 }
 
 // compileVecs lowers each bound conjunct through CompileBoundVec, leaving
@@ -188,24 +276,70 @@ func fullyVec(vecs []*VecPred, n int) bool {
 	return true
 }
 
-// vecCompiler carries compile-time slot counters; the inner scalar
-// compiler lowers fallback subtrees (bound mode, no sweep).
+// vecCompiler carries the swept position (-1 on a scan) and compile-time
+// slot counters; the inner scalar compiler lowers stable and fallback
+// subtrees.
 type vecCompiler struct {
 	c         *compiler
+	sweep     int
 	bufSlots  int
 	memoSlots int
 }
 
-// vecOperand classifies a code-loadable operand: an interned literal or
-// a plan-bound column position.
-func vecOperand(e Expr) (code uint32, idx int, isLit, ok bool) {
-	switch x := e.(type) {
-	case Lit:
-		return dict.Code(x.Val), 0, true, true
-	case boundCol:
-		return 0, x.Idx, false, true
+// lane reports whether e is a column the kernels read from the column
+// vectors: any bound column on a scan, only the swept one in sweep mode.
+func (vc *vecCompiler) lane(e Expr) (int, bool) {
+	b, ok := e.(boundCol)
+	if !ok || (vc.sweep >= 0 && b.Idx != vc.sweep) {
+		return 0, false
 	}
-	return 0, 0, false, false
+	return b.Idx, true
+}
+
+// operand classifies a code-loadable operand: an interned literal or a
+// lane column.
+func (vc *vecCompiler) operand(e Expr) (code uint32, idx int, isLit, ok bool) {
+	if x, lit := e.(Lit); lit {
+		return dict.Code(x.Val), 0, true, true
+	}
+	idx, ok = vc.lane(e)
+	return 0, idx, false, ok
+}
+
+// stable reports whether e reads no lane-varying column: no column at all
+// on a scan, not the swept one in sweep mode.
+func (vc *vecCompiler) stable(e Expr) bool {
+	return !anyExpr(e, func(n Expr) bool {
+		switch x := n.(type) {
+		case Col:
+			return true
+		case boundCol:
+			return vc.sweep < 0 || x.Idx == vc.sweep
+		}
+		return false
+	})
+}
+
+// once compiles a stable subtree: one scalar evaluation per call over the
+// state's row keeps every lane or none.
+func (vc *vecCompiler) once(e Expr) (vecKernel, error) {
+	fn, err := vc.c.bool(e)
+	if err != nil {
+		return nil, err
+	}
+	return func(st *vecState, _ [][]uint32, sel []uint32) ([]uint32, error) {
+		if len(sel) == 0 {
+			return sel, nil
+		}
+		t, err := fn(st.crow)
+		if err != nil {
+			return nil, err
+		}
+		if t == triTrue {
+			return sel, nil
+		}
+		return sel[:0], nil
+	}, nil
 }
 
 // constKernel keeps everything or nothing, for conjuncts decided at
@@ -220,10 +354,11 @@ func constKernel(keep bool) vecKernel {
 }
 
 func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
+	if vc.stable(e) {
+		return vc.once(e)
+	}
 	nullEq := vc.c.ev.NullEq
 	switch x := e.(type) {
-	case Lit:
-		return constKernel(triOf(x.Val) == triTrue), nil
 	case Unary:
 		if r, ok := negateVec(x.X); ok {
 			return vc.comp(r)
@@ -303,18 +438,14 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 				return sel[:w], nil
 			}, nil
 		case "=", "<>":
-			lc, li, llit, lok := vecOperand(x.L)
-			rc, ri, rlit, rok := vecOperand(x.R)
+			// Not both literals: that subtree is stable.
+			lc, li, llit, lok := vc.operand(x.L)
+			rc, ri, rlit, rok := vc.operand(x.R)
 			if !lok || !rok {
 				return vc.fallback(e)
 			}
 			want := x.Op == "="
 			switch {
-			case llit && rlit:
-				if !nullEq && (lc == rel.NullCode || rc == rel.NullCode) {
-					return constKernel(false), nil // unknown is never kept
-				}
-				return constKernel((lc == rc) == want), nil
 			case llit != rlit:
 				lit, idx := lc, ri
 				if rlit {
@@ -409,11 +540,11 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 	case InList:
 		return vc.inList(x)
 	case IsNull:
-		bc, ok := x.X.(boundCol)
+		idx, ok := vc.lane(x.X)
 		if !ok {
 			return vc.fallback(e)
 		}
-		idx, neg := bc.Idx, x.Negate
+		neg := x.Negate
 		// NULL is code 0 in both dialects; IS NULL never yields unknown.
 		return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			col := cols[idx]
@@ -426,6 +557,36 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 			}
 			return sel[:k], nil
 		}, nil
+	case Ternary:
+		if !vc.stable(x.Cond) {
+			return vc.fallback(e)
+		}
+		cond, err := vc.c.bool(x.Cond)
+		if err != nil {
+			return nil, err
+		}
+		then, err := vc.comp(x.Then)
+		if err != nil {
+			return nil, err
+		}
+		els, err := vc.comp(x.Else)
+		if err != nil {
+			return nil, err
+		}
+		return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
+			if len(sel) == 0 {
+				return sel, nil
+			}
+			t, err := cond(st.crow)
+			if err != nil {
+				return nil, err
+			}
+			// Unknown behaves as false: the else branch (paper's ternary).
+			if t == triTrue {
+				return then(st, cols, sel)
+			}
+			return els(st, cols, sel)
+		}, nil
 	default:
 		return vc.fallback(e)
 	}
@@ -435,18 +596,15 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 // membership loop: small sets scan a dedup'd code array, larger ones
 // probe a hash set — both per morsel element, no Value boxing.
 func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
-	bc, ok := x.X.(boundCol)
+	idx, ok := vc.lane(x.X)
 	if !ok {
 		return vc.fallback(x)
 	}
-	for _, s := range x.Set {
-		if _, lit := s.(Lit); !lit {
-			return vc.fallback(x)
-		}
+	if !allLits(x.Set) {
+		return vc.fallback(x)
 	}
 	nullEq := vc.c.ev.NullEq
 	neg := x.Negate
-	idx := bc.Idx
 
 	var codes []uint32
 	hasNull := false
@@ -562,34 +720,25 @@ func negateVec(e Expr) (Expr, bool) {
 	return nil, false
 }
 
-// fallback vectorizes an arbitrary conjunct through its scalar compiled
-// closure. A conjunct reading no column is decided once per call; one
-// reading a single column runs behind a per-code verdict memo, so each
-// distinct dictionary code in the column is evaluated once per state
-// lifetime and the morsel loop is a table lookup; one reading several
-// columns copies them into the state's scratch row per lane.
+// fallback vectorizes a non-stable subtree through its scalar compiled
+// closure. One reading a single column runs behind a per-code verdict
+// memo, so each distinct dictionary code in the column is evaluated once
+// per state lifetime and the morsel loop is a table lookup. One reading
+// several columns copies the lane-varying ones into the state's scratch
+// row per lane: all of them on a scan, only the swept one in sweep mode,
+// where the others already hold the base row. The memo keys on one code
+// alone, so it must never serve a subtree that also reads a stable
+// column: its verdict would leak from one base row into the next.
 func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
-	fn, _, err := vc.c.bool(e)
+	fn, err := vc.c.bool(e)
 	if err != nil {
 		return nil, err
 	}
 	pos := boundPositions(e)
-	if len(pos) == 0 {
-		return func(_ *vecState, _ [][]uint32, sel []uint32) ([]uint32, error) {
-			if len(sel) == 0 {
-				return sel, nil
-			}
-			t, err := fn(nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			if t == triTrue {
-				return sel, nil
-			}
-			return sel[:0], nil
-		}, nil
-	}
 	if len(pos) > 1 {
+		if vc.sweep >= 0 {
+			pos = []int{vc.sweep}
+		}
 		return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			crow := st.crow
 			k := 0
@@ -597,7 +746,7 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 				for _, p := range pos {
 					crow[p] = cols[p][ri]
 				}
-				t, err := fn(nil, crow)
+				t, err := fn(crow)
 				if err != nil {
 					return nil, err
 				}
@@ -625,7 +774,7 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 			}
 			if v == 0 {
 				crow[idx] = c
-				t, err := fn(nil, crow)
+				t, err := fn(crow)
 				if err != nil {
 					return nil, err
 				}

@@ -182,11 +182,12 @@ func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 	}
 }
 
-// TestSweepVecMatchesScalarSweep cross-checks CompileSweepVec against a
+// TestSweepVecMatchesScalarSweep cross-checks CompileSweep against a
 // scalar sweep of the interpreter on random expressions: for random base
-// rows and domains, every lane EvalSweepTrue keeps must match
-// Evaluator.True on the row with the sweep column substituted — in both
-// NULL dialects, with the sweep cache exercised across consecutive rows.
+// rows and domains, every lane EvalSweep keeps must match Evaluator.True
+// on the row with the sweep column substituted — in both NULL dialects,
+// with the pooled state and its verdict memos reused across consecutive
+// rows.
 func TestSweepVecMatchesScalarSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"a", "b", "c", "d"}
@@ -196,27 +197,22 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 		sweep := rng.Intn(len(names))
 		for _, strict := range []bool{false, true} {
 			ev := &Evaluator{NullEq: !strict}
-			sp, err := ev.CompileSweepVec(e, ix, sweep)
+			sp, err := ev.CompileSweep(e, ix, sweep)
 			if err != nil {
-				t.Fatalf("trial %d strict=%v: sweep-vec compile of %s: %v", trial, strict, e, err)
+				t.Fatalf("trial %d strict=%v: sweep compile of %s: %v", trial, strict, e, err)
 			}
-			vin := sp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 			}
-			keep := make([]bool, len(domain))
 			crow := make([]uint32, len(names))
 			for row := 0; row < 4; row++ {
 				for j := range crow {
 					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 				}
-				vin.NextRow()
-				for i := range keep {
-					keep[i] = true
-				}
-				if _, err := sp.EvalSweepTrue(vin, crow, domain, keep); err != nil {
-					t.Fatalf("trial %d strict=%v: EvalSweepTrue of %s: %v", trial, strict, e, err)
+				keep, err := sweepLanes(sp, crow, domain)
+				if err != nil {
+					t.Fatalf("trial %d strict=%v: EvalSweep of %s: %v", trial, strict, e, err)
 				}
 				env := make(MapEnv, len(names))
 				for j, n := range names {
@@ -279,6 +275,98 @@ func TestVectorizedFilterAllocs(t *testing.T) {
 		run() // warm the pool and the fallback memo
 		if got := testing.AllocsPerRun(100, run); got > 0 {
 			t.Errorf("%s: EvalVec allocates %.1f per call at steady state, want 0", tc.name, got)
+		}
+	}
+}
+
+// TestSweepStableColumnDoesNotLeakAcrossRows pins the memo rule of sweep
+// mode: the per-code verdict memo persists across EvalSweep calls, so it
+// may only serve subtrees that read the swept column alone. Two base rows
+// that differ only in the stable column b run through one program, in
+// both NULL dialects and in alternation, so a verdict memoized on the
+// swept code under one row would be replayed under the other.
+func TestSweepStableColumnDoesNotLeakAcrossRows(t *testing.T) {
+	domain := encodeRow(fixtureDomain)
+	rows := [][]rel.Value{
+		{rel.Null(), rel.S("p"), rel.Null()},
+		{rel.Null(), rel.S("r"), rel.Null()},
+	}
+	for _, src := range []string{
+		`a > b`,
+		`a <> b`,
+		`a = b ? c is null : a > "p"`,
+	} {
+		e, err := ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nullEq := range []bool{false, true} {
+			ev := fixtureEvaluator(nullEq)
+			prog, err := ev.CompileSweep(e, compileFixtureCols, 0)
+			if err != nil {
+				t.Fatalf("compile %q: %v", src, err)
+			}
+			for round := 0; round < 3; round++ {
+				for _, row := range rows {
+					keep, err := sweepLanes(prog, encodeRow(row), domain)
+					if err != nil {
+						t.Fatalf("%q: %v", src, err)
+					}
+					for di, v := range fixtureDomain {
+						row[0] = v
+						want, err := ev.True(e, compileFixtureEnv(row))
+						if err != nil {
+							t.Fatalf("%q: interpreting: %v", src, err)
+						}
+						if keep[di] != want {
+							t.Fatalf("%q (nullEq=%v, round %d) with a = %v, b = %v: interpreter %v, sweep lane %v",
+								src, nullEq, round, v, row[1], want, keep[di])
+						}
+					}
+					row[0] = rel.Null()
+				}
+			}
+		}
+	}
+}
+
+// TestEvalSweepAllocs extends the steady-state allocation contract to sweep
+// mode: once the pooled state is warm, EvalSweep allocates nothing — on a
+// ternary chain over a stable condition with kernel leaves (the protocol
+// constraints' shape), on the memoized single-column fallback and on the
+// multi-column fallback that reads a stable column.
+func TestEvalSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses reuse under -race")
+	}
+	ev := fixtureEvaluator(true)
+	row := encodeRow([]rel.Value{rel.Null(), rel.S("q"), rel.S("p")})
+	domain := encodeRow(fixtureDomain)
+	sel := make([]uint32, len(domain))
+	for _, src := range []string{
+		`b = "p" ? a = "q" : b = "q" ? a in ("p", "r") and c <> NULL : a is null`,
+		`a > "p"`,
+		`a > b or c = "p"`,
+	} {
+		e, err := ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := ev.CompileSweep(e, compileFixtureCols, 0)
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		run := func() {
+			for i := range sel {
+				sel[i] = uint32(i)
+			}
+			if _, err := prog.EvalSweep(row, domain, sel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool and the fallback memo
+		if got := testing.AllocsPerRun(100, run); got > 0 {
+			t.Errorf("%q: EvalSweep allocates %.1f per call at steady state, want 0", src, got)
 		}
 	}
 }

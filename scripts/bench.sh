@@ -19,7 +19,10 @@
 #
 # The default pattern covers the generation-sensitive benchmarks (the
 # compiled-kernel solver on table D, all eight controller tables, building
-# the eight specs from their rules, and the Fig. 3 incremental sweep)
+# the eight specs from their rules, the Fig. 3 incremental sweep, the
+# monolithic C1 ablation and one compiled constraint evaluation on D's
+# rule chain; these layer benchmarks stand for perfbench's
+# constraint.generate_ms, the generation phase of a pipeline run)
 # plus the planner-sensitive ones: the invariant suite (the paper's
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
@@ -52,7 +55,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkBuildAllSpecs$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkSQLResidueFilter$|BenchmarkSQLUpdateRow|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkBuildAllSpecs$|BenchmarkGenerateIncremental$|BenchmarkGenerateMonolithic$|BenchmarkConstraintKernel$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkSQLResidueFilter$|BenchmarkSQLUpdateRow|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkVCGConstruction|BenchmarkPairwiseVsClosure|BenchmarkPlacementAblation}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
@@ -98,7 +101,7 @@ race_run 'TestParallelMatchesSerial|TestParallelMatchesSerialControllers|TestCon
     ./internal/pool/ ./internal/sqlmini/
 
 echo "== race-detector compiled-vs-interpreter equivalence tests =="
-race_run 'TestVectorizedMatchesScalarControllers|TestCompiledFiltersMatchInterpreter|TestVecPredMatchesScalarKernel|TestSweepVecMatchesScalarSweep|TestAllTrueMatchesAndChain' \
+race_run 'TestVectorizedMatchesScalarControllers|TestCompiledFiltersMatchInterpreter|TestVecPredMatchesScalarKernel|TestSweepVecMatchesScalarSweep|TestSweepStableColumnDoesNotLeakAcrossRows|TestAllTrueMatchesAndChain' \
     ./internal/sqlmini/
 
 echo "== race-detector observability tests =="
